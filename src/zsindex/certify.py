@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .normalform import TAG_NORMAL, NormalForm, classify, normal_form_sequence
+from .normalform import NormalForm, ReductionOutcome, classify, normal_form_sequence
 from .zseq import IndexResult, Sequence, index, weight
 
 __all__ = [
@@ -158,13 +158,12 @@ def search_interval(nf: NormalForm) -> Certificate | None:
     m*b = k*n can never be coprime to n, so the convention costs nothing.
     """
     n, a, b, c = nf.n, nf.a, nf.b, nf.c
-    seq = normal_form_sequence(nf)
     for k in range(1, b + 1):
         lo = _ceil_div(k * n, c)
         hi = (k * n) // b
         for m in range(lo, hi + 1):
             if m * a < n and math.gcd(m, n) == 1:
-                return make_certificate(seq, m, INTERVAL, k=k)
+                return make_certificate(normal_form_sequence(nf), m, INTERVAL, k=k)
     return None
 
 
@@ -221,8 +220,8 @@ def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
         raise ValueError(f"{mid} is not a unit modulo {n}")
     for factor in (1, n - 1, n - 2, 2):
         m = (factor * mid) % n
-        if math.gcd(m, n) == 1 and weight(seq, m) == n:
-            return make_certificate(seq, m, derivation)
+        if verify_certificate(seq, m):
+            return Certificate(m=m, derivation=derivation)
     return None
 
 
@@ -248,17 +247,16 @@ def small_a_certificate(nf: NormalForm) -> Certificate:
         raise ValueError(f"small_a_certificate requires a = 2, got a={a}")
     if n % 2 == 0:
         raise ValueError("small_a_certificate requires an odd modulus")
-    seq = normal_form_sequence(nf)
     half = (n - 1) // 2
     if b % 2 == 0:
-        return make_certificate(seq, half, SMALL_A)
+        return make_certificate(normal_form_sequence(nf), half, SMALL_A)
     t = (b - 1) // 2
     inner = NormalForm(n, t + 1, (n - b) // 2, half)  # the rescaled shape
     k = _ceil_div(n - b, 2 * b)
     while (2 * k + 1) * inner.a < n:
         m_odd = 2 * k + 1
         if math.gcd(m_odd, n) == 1:
-            return make_certificate(seq, (m_odd * half) % n, SMALL_A)
+            return make_certificate(normal_form_sequence(nf), (m_odd * half) % n, SMALL_A)
         k += 1
     raise CertificateMiss(
         f"no odd multiplier certifies the b-odd construction for {nf}"
@@ -266,14 +264,123 @@ def small_a_certificate(nf: NormalForm) -> Certificate:
 
 
 def _compose(seq: Sequence, cert: Certificate, scaling: int | None) -> Certificate:
-    """Turn a certificate for scale(seq, scaling) into one for seq itself.
+    """Turn a certificate for the classified copy scale(seq, scaling) into one for seq itself.
 
-    The interval index only survives an identity scaling; otherwise the
-    composed multiplier no longer satisfies the k-interval inequalities.
+    Without scaling, or with scaling 1, the copy has seq's coefficients and
+    the stage has already checked the certificate against them.  Otherwise
+    the composed multiplier is checked against seq here, and the interval
+    index is dropped: the composed multiplier no longer satisfies the
+    k-interval inequalities.
     """
     if scaling is None or scaling == 1:
-        return make_certificate(seq, cert.m % seq.n, cert.derivation, k=cert.k)
+        return cert
     return make_certificate(seq, (cert.m * scaling) % seq.n, cert.derivation)
+
+
+# A stage takes the sequence and its classification and returns None when
+# it does not apply, or (verdict, note): verdict is a Certificate, a
+# CounterexampleReport (brute force only) or None for a miss, and note
+# is extra detail for the trace.
+_Step = tuple[Certificate | CounterexampleReport | None, str] | None
+
+
+def _forced_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    if out.forced_multiplier is None:
+        return None
+    if out.scaling is None:
+        return make_certificate(seq, out.forced_multiplier, FORCED), ""
+    return Certificate(out.forced_multiplier, FORCED), ""  # _compose checks it against seq
+
+
+def _small_a_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    nf = out.normal_form
+    if nf is None or nf.a != 2 or nf.n % 2 == 0:
+        return None
+    try:
+        return small_a_certificate(nf), ""
+    except CertificateMiss as miss:
+        return None, str(miss)
+
+
+def _interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    if out.normal_form is None:
+        return None
+    return search_interval(out.normal_form), ""
+
+
+def _finish(nf: NormalForm, mid: int | None, derivation: str) -> _Step:
+    if mid is None:
+        return None, ""
+    cert = finalize(normal_form_sequence(nf), mid, derivation)
+    return cert, f"M={mid}" if cert is not None else f"M={mid}, no finisher certified"
+
+
+def _half_interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    nf = out.normal_form
+    if nf is None or nf.b // nf.a < 2:
+        return None
+    return _finish(nf, search_half_interval(nf), HALF_INTERVAL)
+
+
+def _majority_small_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    if out.normal_form is None:
+        return None
+    return _finish(out.normal_form, search_majority_small(out.normal_form), MAJORITY_SMALL)
+
+
+def _lifted_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    from .subgroup import lift_witness, try_subgroup_reduce  # local import, avoids a cycle
+
+    reduction = try_subgroup_reduce(seq)
+    if reduction is None:
+        return None, "not reducible"
+    note = f"d={reduction.d} reduced modulus={reduction.reduced.n}"
+    sub = find_certificate(reduction.reduced)
+    if not isinstance(sub, Certificate):
+        return None, f"{note}, reduced sequence has no certificate"
+    return lift_witness(reduction, sub.m), f"{note}, reduced by {sub.derivation} m={sub.m}"
+
+
+def _brute_force_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+    result = index(seq)
+    if result.value == 1:
+        return make_certificate(seq, result.witness, BRUTE_FORCE), ""
+    return CounterexampleReport(sequence=seq, result=result), ""
+
+
+# (name, stage, works on the classified copy): the pipeline in order.  A
+# stage on the classified copy answers for scale(seq, out.scaling); the
+# others answer for seq itself.  Brute force always decides.
+_STAGES = (
+    (FORCED, _forced_stage, True),
+    (SMALL_A, _small_a_stage, True),
+    (INTERVAL, _interval_stage, True),
+    (HALF_INTERVAL, _half_interval_stage, True),
+    (MAJORITY_SMALL, _majority_small_stage, True),
+    (LIFTED, _lifted_stage, False),
+    (BRUTE_FORCE, _brute_force_stage, False),
+)
+
+
+def _classify_line(out: ReductionOutcome) -> str:
+    nf = out.normal_form
+    nf_txt = f" normal_form=(a={nf.a}, b={nf.b}, c={nf.c})" if nf else ""
+    return (
+        f"classify: tag={out.tag} forced_multiplier={out.forced_multiplier}"
+        f" scaling={out.scaling}{nf_txt}"
+    )
+
+
+def _stage_line(
+    name: str, verdict: Certificate | CounterexampleReport | None, note: str
+) -> str:
+    if isinstance(verdict, Certificate):
+        text = f"hit m={verdict.m}" + (f" k={verdict.k}" if verdict.k is not None else "")
+    elif verdict is None:
+        text = "miss"
+    else:
+        text = f"counterexample index={verdict.result.value} at m={verdict.result.witness}"
+    return f"{name}: {text}" + (f" ({note})" if note else "")
 
 
 def find_certificate(
@@ -285,102 +392,23 @@ def find_certificate(
     then on a normal form the a=2 construction, the interval search, the
     half-interval and majority-small searches (each finished through
     `finalize`), then subgroup reduction with witness lifting, and finally
-    the brute-force scan.  A counterexample is a value, not an error.
+    the brute-force scan.  The first stage that decides wins.  A
+    counterexample is a value, not an error.  With `trace`, one line is
+    appended for the classification and one per stage attempted, each
+    prefixed with the stage name.
     """
-    log = trace.append if trace is not None else None
     out = classify(seq)
-    if log:
-        nf_txt = (
-            f" normal_form=(a={out.normal_form.a}, b={out.normal_form.b}, c={out.normal_form.c})"
-            if out.normal_form
-            else ""
-        )
-        log(
-            f"classify: tag={out.tag} forced_multiplier={out.forced_multiplier}"
-            f" scaling={out.scaling}{nf_txt}"
-        )
-    if out.forced_multiplier is not None:
-        fm = out.forced_multiplier
-        if out.scaling is not None:
-            fm = (fm * out.scaling) % seq.n
-        cert = make_certificate(seq, fm, FORCED)
-        if log:
-            log(f"forced: m={cert.m}")
-        return cert
-
-    if out.tag == TAG_NORMAL:
-        nf = out.normal_form
-        assert nf is not None
-        nf_seq = normal_form_sequence(nf)
-        if nf.a == 2 and nf.n % 2 == 1:
-            try:
-                cert = small_a_certificate(nf)
-                if log:
-                    log(f"small_a: hit m={cert.m}")
-                return _compose(seq, cert, out.scaling)
-            except CertificateMiss as miss:
-                if log:
-                    log(f"small_a: miss ({miss})")
-        cert = search_interval(nf)
-        if cert is not None:
-            if log:
-                log(f"interval: hit k={cert.k} m={cert.m}")
-            return _compose(seq, cert, out.scaling)
-        if log:
-            log("interval: miss")
-        stats = shape_stats(nf)
-        if log:
-            log(f"shape: s={stats.s} k1={stats.k1}")
-        if stats.s >= 2:
-            mid = search_half_interval(nf)
-            if mid is not None:
-                cert = finalize(nf_seq, mid, HALF_INTERVAL)
-                if cert is not None:
-                    if log:
-                        log(f"half_interval: M={mid} -> m={cert.m}")
-                    return _compose(seq, cert, out.scaling)
-                if log:
-                    log(f"half_interval: M={mid} but no finisher certified")
-            elif log:
-                log("half_interval: miss")
-        elif log:
-            log("half_interval: skipped (s < 2)")
-        mid = search_majority_small(nf)
-        if mid is not None:
-            cert = finalize(nf_seq, mid, MAJORITY_SMALL)
-            if cert is not None:
-                if log:
-                    log(f"majority_small: M={mid} -> m={cert.m}")
-                return _compose(seq, cert, out.scaling)
-            if log:
-                log(f"majority_small: M={mid} but no finisher certified")
-        elif log:
-            log("majority_small: miss")
-
-    # Opaque outcome or a pipeline miss: reduce into a subgroup if possible.
-    from .subgroup import lift_witness, try_subgroup_reduce  # local import, avoids a cycle
-
-    reduction = try_subgroup_reduce(seq)
-    if reduction is not None:
-        if log:
-            log(f"subgroup: d={reduction.d} reduced modulus={reduction.reduced.n}")
-        sub = find_certificate(reduction.reduced, trace=trace)
-        if isinstance(sub, Certificate):
-            cert = lift_witness(reduction, sub.m)
-            if log:
-                log(f"lifted: m={cert.m}")
-            return cert
-        if log:
-            log("subgroup: reduced sequence has no certificate, falling back")
-    elif log:
-        log("subgroup: not reducible")
-
-    result = index(seq)
-    if result.value == 1:
-        cert = make_certificate(seq, result.witness, BRUTE_FORCE)
-        if log:
-            log(f"brute_force: witness m={cert.m}")
-        return cert
-    if log:
-        log(f"counterexample: index={result.value} at m={result.witness}")
-    return CounterexampleReport(sequence=seq, result=result)
+    if trace is not None:
+        trace.append(_classify_line(out))
+    for name, stage, on_copy in _STAGES:
+        step = stage(seq, out)
+        if step is None:
+            continue
+        verdict, note = step
+        if on_copy and verdict is not None:
+            verdict = _compose(seq, verdict, out.scaling)
+        if trace is not None:
+            trace.append(_stage_line(name, verdict, note))
+        if verdict is not None:
+            return verdict
+    raise AssertionError("unreachable: the brute-force stage always decides")

@@ -7,8 +7,15 @@ Subcommands:
   verify          range verification, one JSON report line per modulus
   counterexample  first sequence with index >= 2 for one modulus, or "none"
 
-verify exits 0 when no counterexample was found, 1 when one was, 2 on
-usage errors.
+Exit codes:
+  0  success; for verify and witness, no counterexample
+  1  verify or witness found a counterexample (a sequence with index >= 2)
+  2  usage error or invalid input
+  3  internal failure: the certificate pipeline and the brute-force oracle
+     disagreed, so the run's results cannot be trusted
+
+verify writes each report line as soon as its modulus is done (flushed,
+also with --out) and a progress note per modulus to stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .harness import (
     DEFAULT_SEED,
     FILTERS,
     MODES,
+    OracleDisagreement,
     find_counterexample,
     report_to_json,
     verify_range,
@@ -149,10 +157,15 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         for report in verify_range(
             args.from_n, args.to_n, filter_name, args.mode, jobs=args.jobs
         ):
-            print(report_to_json(report), file=out)
+            print(report_to_json(report), file=out, flush=True)
             moduli += 1
             sequences += report.sequences_checked
             counterexamples += len(report.counterexamples)
+            print(
+                f"n={report.n}: {report.sequences_checked} sequences,"
+                f" {time.perf_counter() - t0:.1f}s elapsed",
+                file=sys.stderr,
+            )
     finally:
         if args.out:
             out.close()
@@ -200,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OracleDisagreement as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

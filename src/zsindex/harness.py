@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
 from collections.abc import Iterator
@@ -30,6 +31,7 @@ from .zseq import IndexResult, Sequence, index
 __all__ = [
     "FILTERS",
     "MODES",
+    "OracleDisagreement",
     "VerificationReport",
     "find_counterexample",
     "in_constructive_domain",
@@ -43,6 +45,13 @@ FILTERS = ("coprime6", "two_prime_powers", "all")
 
 DEFAULT_SAMPLE_INTERVAL = 100
 DEFAULT_SEED = 0
+
+
+class OracleDisagreement(RuntimeError):
+    """The certificate pipeline and the brute-force oracle disagree on a sequence.
+
+    This is an internal failure, never a verdict about the sequence.
+    """
 
 
 @dataclass
@@ -108,8 +117,8 @@ def verify_modulus(
 
     In every mode a deterministic 1-in-K sample (seeded by n, K =
     sample_interval) of the processed sequences is cross-checked against
-    the full brute-force index; a disagreement raises RuntimeError since it
-    would mean the pipeline and the oracle diverged.
+    the full brute-force index; a disagreement raises OracleDisagreement
+    since it would mean the pipeline and the oracle diverged.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -134,7 +143,7 @@ def verify_modulus(
         if crosscheck:
             oracle = index(seq)
             if isinstance(outcome, Certificate) != (oracle.value == 1):
-                raise RuntimeError(
+                raise OracleDisagreement(
                     f"pipeline/oracle disagreement on {seq.coeffs} over {n}: "
                     f"pipeline={outcome!r} oracle={oracle!r}"
                 )
@@ -179,19 +188,26 @@ def verify_range(
     """Yield one report per qualifying modulus in [from_n, to_n], in ascending n order.
 
     Moduli are independent work units; with jobs > 1 they are verified in a
-    process pool, but emission order stays ascending regardless of
-    completion order.
+    process pool of `_worker_count` processes, but emission order stays
+    ascending regardless of completion order.
     """
     if not 3 <= from_n <= to_n:
         raise ValueError(f"need 3 <= from <= to, got from={from_n} to={to_n}")
     moduli = [n for n in range(from_n, to_n + 1) if _passes_filter(n, filter_name)]
     worker = partial(verify_modulus, mode=mode, sample_interval=sample_interval, seed=seed)
-    if jobs <= 1 or len(moduli) <= 1:
+    workers = _worker_count(jobs, len(moduli))
+    if workers <= 1:
         for n in moduli:
             yield worker(n)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, moduli)
+
+
+def _worker_count(jobs: int, moduli: int) -> int:
+    """Pool size for verify_range: more workers than moduli or cores would only
+    add idle processes, and the pool starts all of them up front."""
+    return min(jobs, moduli, os.cpu_count() or 1)
 
 
 def find_counterexample(n: int) -> tuple[Sequence, IndexResult] | None:

@@ -103,6 +103,11 @@ def to_unit_leading(seq: Sequence) -> tuple[int, Sequence] | None:
     shares a factor with n.
     """
     _require_minimal4(seq)
+    return _unit_leading(seq)
+
+
+def _unit_leading(seq: Sequence) -> tuple[int, Sequence] | None:
+    """to_unit_leading without the input check, for callers that made it already."""
     n = seq.n
     for x in seq.coeffs:
         if math.gcd(x, n) == 1:
@@ -144,7 +149,7 @@ def classify(seq: Sequence) -> ReductionOutcome:
     x2, x3 = seq.coeffs[1], seq.coeffs[2]
     if not (2 * x2 < n < 2 * x3):
         return ReductionOutcome(TAG_OPAQUE)
-    ul = to_unit_leading(seq)
+    ul = _unit_leading(seq)
     if ul is None:
         return ReductionOutcome(TAG_OPAQUE)
     m, scaled = ul

@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import pytest
 
@@ -236,6 +238,75 @@ def test_find_certificate_trace_names_the_stages():
     find_certificate(make_sequence(175, [5, 77, 133, 135]), trace=trace)
     assert any(line.startswith("classify:") for line in trace)
     assert any(line.startswith("brute_force:") for line in trace)
+
+
+@pytest.mark.parametrize(
+    "n, coeffs",
+    [(7, [1, 2, 4]), (7, [1, 2, 3, 4, 4]), (7, [1, 6, 1, 6]), (7, [1, 1, 1, 1])],
+)
+def test_find_certificate_rejects_non_minimal_and_non_length_4(n, coeffs):
+    with pytest.raises(ValueError):
+        find_certificate(make_sequence(n, coeffs))
+
+
+def test_pipeline_checks_each_sequence_once(monkeypatch):
+    """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked once per
+    classify call plus once per subgroup reduction, no (n, coeffs, m)
+    weight check repeats within one find_certificate call, and shape_stats
+    (whose k1 the pipeline does not need) is never called."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zsindex"]
+    calls = Counter()
+    seen = set()
+    repeats = []
+
+    def patch(home, name, wrapper_of):
+        original = getattr(sys.modules[f"zsindex.{home}"], name)
+        wrapper = wrapper_of(original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    def counted(name):
+        def wrapper_of(original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        return wrapper_of
+
+    def checked_once(original):
+        def wrapper(seq, m):
+            key = (seq.n, seq.coeffs, m)
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+            return original(seq, m)
+
+        return wrapper
+
+    for home, name in [
+        ("zseq", "is_minimal_zero_sum"),
+        ("normalform", "classify"),
+        ("subgroup", "try_subgroup_reduce"),
+        ("certify", "shape_stats"),
+    ]:
+        patch(home, name, counted(name))
+    patch("zseq", "weight", checked_once)
+
+    sequences = 0
+    for n in range(5, 61):
+        if math.gcd(n, 6) != 1:
+            continue
+        for seq in iter_min_zero_sum4(n):
+            seen.clear()
+            find_certificate(seq)
+            sequences += 1
+    assert calls["classify"] >= sequences
+    assert calls["is_minimal_zero_sum"] <= calls["classify"] + calls["try_subgroup_reduce"]
+    assert repeats == []
+    assert calls["shape_stats"] == 0
 
 
 def test_find_certificate_agrees_with_oracle_everywhere():

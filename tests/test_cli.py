@@ -1,8 +1,21 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from zsindex import harness
 from zsindex.cli import main
+from zsindex.zseq import IndexResult
+
+STAGE_ORDER = [
+    "forced",
+    "small_a",
+    "interval",
+    "half_interval",
+    "majority_small",
+    "lifted",
+    "brute_force",
+]
 
 
 def run(capsys, argv):
@@ -32,6 +45,25 @@ def test_witness_explain_prints_the_trace(capsys):
     assert payload["certificate"]["m"] == 3
     assert payload["certificate"]["derivation"] == "brute_force"
     assert any(line.startswith("classify:") for line in payload["trace"])
+
+
+@pytest.mark.parametrize(
+    "n, seq, stages",
+    [
+        (5, "1,1,1,2", ["forced"]),
+        (15, "1,7,11,11", ["interval", "majority_small"]),
+        (10, "2,6,6,6", ["lifted"]),
+        (175, "5,135,77,133", ["lifted", "brute_force"]),
+        # index 2: every stage from small_a on is attempted and misses
+        (15, "1,6,10,13", STAGE_ORDER[1:]),
+    ],
+)
+def test_witness_explain_traces_each_attempted_stage_in_table_order(capsys, n, seq, stages):
+    code, out = run(capsys, ["witness", "--n", str(n), "--seq", seq, "--explain"])
+    trace = json.loads(out)["trace"]
+    assert trace[0].startswith("classify:")
+    assert [line.split(":", 1)[0] for line in trace[1:]] == stages
+    assert stages == [stage for stage in STAGE_ORDER if stage in stages]
 
 
 def test_witness_on_a_counterexample(capsys):
@@ -105,3 +137,10 @@ def test_usage_errors_exit_two(capsys):
 def test_invalid_sequence_reports_error(capsys):
     code = main(["index", "--n", "10", "--seq", "5,5,10,1"])
     assert code == 2  # zero class rejected
+
+
+def test_verify_exits_three_when_pipeline_and_oracle_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "index", lambda seq: IndexResult(Fraction(2), 1))
+    code = main(["verify", "--from", "5", "--to", "30", "--jobs", "1"])
+    assert code == 3
+    assert "pipeline/oracle disagreement" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from zsindex import harness
 from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.harness import (
     find_counterexample,
@@ -74,6 +75,25 @@ def test_verify_range_parallel_equals_serial():
     serial = [report_to_json(r) for r in verify_range(5, 40, "coprime6", "full", jobs=1)]
     parallel = [report_to_json(r) for r in verify_range(5, 40, "coprime6", "full", jobs=4)]
     assert serial == parallel
+
+
+def test_worker_count_is_capped_by_moduli_and_cores(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert harness._worker_count(5000, 39) == 4
+    assert harness._worker_count(5000, 3) == 3
+    assert harness._worker_count(2, 39) == 2
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._worker_count(5000, 39) == 1
+
+
+def test_verify_range_starts_no_pool_for_one_worker(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    reports = list(verify_range(5, 13, "coprime6", "full", jobs=5000))
+    assert [r.n for r in reports] == [5, 7, 11, 13]
 
 
 def test_repeated_runs_are_identical():
