@@ -15,7 +15,8 @@ Exit codes:
      disagreed, so the run's results cannot be trusted
 
 verify writes each report line as soon as its modulus is done (flushed,
-also with --out) and a progress note per modulus to stderr.
+also with --out) and a progress note per modulus to stderr, with an ETA
+that assumes each remaining modulus costs in proportion to n^3.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .harness import (
     OracleDisagreement,
     find_counterexample,
     report_to_json,
+    select_moduli,
     verify_range,
 )
 from .zseq import index, make_sequence
@@ -147,6 +149,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             "seed": DEFAULT_SEED,
         }
     }
+    # Enumeration costs O(n^3) per modulus, so cubes weigh the work left.
+    work_left = sum(n**3 for n in select_moduli(args.from_n, args.to_n, filter_name))
+    work_done = 0
     out = open(args.out, "w") if args.out else sys.stdout
     t0 = time.perf_counter()
     moduli = 0
@@ -161,9 +166,12 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             moduli += 1
             sequences += report.sequences_checked
             counterexamples += len(report.counterexamples)
+            work_done += report.n**3
+            work_left -= report.n**3
+            elapsed = time.perf_counter() - t0
             print(
                 f"n={report.n}: {report.sequences_checked} sequences,"
-                f" {time.perf_counter() - t0:.1f}s elapsed",
+                f" {elapsed:.1f}s elapsed, ETA {elapsed * work_left / work_done:.1f}s",
                 file=sys.stderr,
             )
     finally:

@@ -36,6 +36,7 @@ __all__ = [
     "find_counterexample",
     "in_constructive_domain",
     "report_to_json",
+    "select_moduli",
     "verify_modulus",
     "verify_range",
 ]
@@ -112,7 +113,9 @@ def verify_modulus(
 
     full:   run find_certificate on every minimal zero-sum length-4 sequence.
     orbits: run it on one representative per unit orbit (index is constant
-            on orbits, so this settles the same question about phi(n) times cheaper).
+            on orbits).  This saves certificate work, up to phi(n) times
+            less of it, but representatives are still filtered out of the
+            full O(n^3/6) enumeration, which bounds the mode's time.
     sample: run it only on a deterministic 1-in-K subset of the sequences.
 
     In every mode a deterministic 1-in-K sample (seeded by n, K =
@@ -191,9 +194,7 @@ def verify_range(
     process pool of `_worker_count` processes, but emission order stays
     ascending regardless of completion order.
     """
-    if not 3 <= from_n <= to_n:
-        raise ValueError(f"need 3 <= from <= to, got from={from_n} to={to_n}")
-    moduli = [n for n in range(from_n, to_n + 1) if _passes_filter(n, filter_name)]
+    moduli = select_moduli(from_n, to_n, filter_name)
     worker = partial(verify_modulus, mode=mode, sample_interval=sample_interval, seed=seed)
     workers = _worker_count(jobs, len(moduli))
     if workers <= 1:
@@ -202,6 +203,13 @@ def verify_range(
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, moduli)
+
+
+def select_moduli(from_n: int, to_n: int, filter_name: str = "coprime6") -> list[int]:
+    """The moduli in [from_n, to_n] that pass the filter, ascending: verify_range's work list."""
+    if not 3 <= from_n <= to_n:
+        raise ValueError(f"need 3 <= from <= to, got from={from_n} to={to_n}")
+    return [n for n in range(from_n, to_n + 1) if _passes_filter(n, filter_name)]
 
 
 def _worker_count(jobs: int, moduli: int) -> int:

@@ -2,8 +2,7 @@
 
 These deliberately reimplement functionality with different algorithms
 (itertools subsets instead of bitmasks, factorization-based totient, full
-unit scans without early exit) so that library code is always checked
-against a second route.
+unit scans) so that library code is always checked against a second route.
 """
 
 from __future__ import annotations
@@ -76,3 +75,20 @@ def oracle_index(n: int, coeffs: tuple[int, ...]) -> tuple[Fraction, int]:
             best_w, best_m = w, m
     assert best_w is not None and best_m is not None
     return Fraction(best_w, n), best_m
+
+
+def oracle_orbit_reps(n: int, sequences) -> list[tuple[tuple[int, ...], int]]:
+    """(coeffs, orbit_size) for each tuple, in input order, that no unit maps to a
+    lex-smaller sorted tuple: a scan over all phi(n) units of every tuple."""
+    us = [m for m in range(1, n) if math.gcd(m, n) == 1]
+    out = []
+    for coeffs in sequences:
+        images = set()
+        for m in us:
+            image = tuple(sorted((m * x) % n for x in coeffs))
+            if image < coeffs:
+                break
+            images.add(image)
+        else:
+            out.append((coeffs, len(images)))
+    return out

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -144,3 +146,26 @@ def test_verify_exits_three_when_pipeline_and_oracle_disagree(monkeypatch, capsy
     code = main(["verify", "--from", "5", "--to", "30", "--jobs", "1"])
     assert code == 3
     assert "pipeline/oracle disagreement" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, sha256",
+    [
+        ("orbits", "1a5000e5257953fd859cf4715c2064bc7a4d1933ffdeb5e9f1ebc394ef847a3e"),
+        ("full", "e2fe667a779df9fa993cde2614a49523bd2d0ad131abd7ba3dcf8ba4795856a1"),
+    ],
+)
+def test_verify_report_is_byte_identical_and_progress_carries_an_eta(capsys, mode, sha256):
+    code = main(
+        ["verify", "--from", "5", "--to", "40", "--filter", "coprime6", "--mode", mode,
+         "--jobs", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+    notes = captured.err.splitlines()[:-1]
+    moduli = [int(line.split(":")[0][2:]) for line in notes]
+    assert moduli == [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37]
+    for line in notes:
+        assert re.fullmatch(r"n=\d+: \d+ sequences, \d+\.\ds elapsed, ETA \d+\.\ds", line), line
+    assert notes[-1].endswith(", ETA 0.0s")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import oracle_enumerate4, totient
+from conftest import oracle_enumerate4, oracle_orbit_reps, totient
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps, orbit_canonical
 from zsindex.modring import units
 from zsindex.zseq import Sequence, index, is_minimal_zero_sum, make_sequence, nu, scale
@@ -100,3 +100,23 @@ def test_index_is_constant_on_each_orbit():
         for r in iter_orbit_reps(n):
             values = {index(scale(r.rep, m)).value for m in units(n)}
             assert values == {index(r.rep).value}
+
+
+def _assert_orbit_reps_match_the_unit_scan(n):
+    got = [(r.rep.coeffs, r.orbit_size) for r in iter_orbit_reps(n)]
+    everything = [s.coeffs for s in iter_min_zero_sum4(n)]
+    assert got == oracle_orbit_reps(n, everything)
+    assert sum(size for _, size in got) == len(everything)
+    for coeffs, size in got:
+        assert orbit_canonical(Sequence(n, coeffs)).orbit_size == size
+
+
+def test_orbit_reps_match_the_full_unit_scan_up_to_80():
+    # Composite moduli reach representatives with x1 = d > 1, down to n/d = 4 (d, d, d, d).
+    for n in range(3, 81):
+        _assert_orbit_reps_match_the_unit_scan(n)
+
+
+@pytest.mark.parametrize("n", [121, 125, 169, 175])
+def test_orbit_reps_match_the_full_unit_scan_on_larger_moduli(n):
+    _assert_orbit_reps_match_the_unit_scan(n)
