@@ -5,7 +5,8 @@ form (a, b, c) the searches are, in pipeline order:
 
   small_a          a = 2 special construction (odd n)
   interval         m in [k*n/c, k*n/b] with gcd(m, n) = 1, k <= b and m*a < n;
-                   the weight then telescopes to m + (mc-kn) + (kn-mb) + (n-ma) = n
+                   the weight then telescopes to m + (mc-kn) + (kn-mb) + (n-ma) = n.
+                   m <= (n-1)//a bounds the scan: k stops once k*n/c passes it
   half_interval    for t = 0..floor(s/2)-1 with s = floor(b/a), an integer
                    coprime to n inside [(2s-2t-1)n/2b, (s-t)n/b]; such M has
                    |Ma|_n > n/2 and |Mb|_n > n/2
@@ -156,13 +157,23 @@ def search_interval(nf: NormalForm) -> Certificate | None:
 
     Both interval endpoints are closed; an endpoint with m*c = k*n or
     m*b = k*n can never be coprime to n, so the convention costs nothing.
+
+    m*a < n is the same as m <= top = (n-1)//a, so m runs only up to
+    min(k*n//b, top).  The lower end lo = ceil(k*n/c) is nondecreasing in
+    k, so once lo > top no later k can hit either and the search stops.
+    Both cuts skip only pairs that fail m*a < n, so the first (k, m) is
+    the one the full scan over k <= b would find.  lo > top holds as soon
+    as k*n > top*c, so a miss visits at most min(b, top*c//n + 1) values
+    of k, whatever the size of b.
     """
     n, a, b, c = nf.n, nf.a, nf.b, nf.c
+    top = (n - 1) // a
     for k in range(1, b + 1):
         lo = _ceil_div(k * n, c)
-        hi = (k * n) // b
-        for m in range(lo, hi + 1):
-            if m * a < n and math.gcd(m, n) == 1:
+        if lo > top:
+            break
+        for m in range(lo, min(k * n // b, top) + 1):
+            if math.gcd(m, n) == 1:
                 return make_certificate(normal_form_sequence(nf), m, INTERVAL, k=k)
     return None
 

@@ -92,3 +92,17 @@ def oracle_orbit_reps(n: int, sequences) -> list[tuple[tuple[int, ...], int]]:
         else:
             out.append((coeffs, len(images)))
     return out
+
+
+def oracle_search_interval(n: int, a: int, b: int, c: int) -> tuple[int, int] | None:
+    """Least (k, m) with k*n <= m*c, m*b <= k*n, 1 <= k <= b, m*a < n and
+    gcd(m, n) = 1, found by scanning m instead of k: for each such unit m only
+    the least k with m*b <= k*n can give the least pair."""
+    best = None
+    for m in range(1, n):
+        if m * a >= n:
+            break
+        k = -(-m * b // n)
+        if math.gcd(m, n) == 1 and k <= b and k * n <= m * c and (best is None or (k, m) < best):
+            best = (k, m)
+    return best

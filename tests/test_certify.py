@@ -1,15 +1,18 @@
 import math
+import random
 import sys
 from collections import Counter
 
 import pytest
 
-from conftest import factorize
+from conftest import factorize, oracle_search_interval
 from test_normalform import all_normal_forms
+from zsindex import certify
 from zsindex.certify import (
     BRUTE_FORCE,
     FORCED,
     INTERVAL,
+    MAJORITY_SMALL,
     Certificate,
     CertificateMiss,
     CounterexampleReport,
@@ -124,6 +127,54 @@ def test_interval_membership_with_small_ratio_forces_the_product_bound():
                 for m in range(lo, hi + 1):
                     if math.gcd(m, n) == 1:
                         assert m * nf.a < n
+
+
+def _interval_pair(nf):
+    cert = search_interval(nf)
+    return None if cert is None else (cert.k, cert.m)
+
+
+def test_search_interval_matches_the_oracle_on_every_normal_form_up_to_150():
+    for n in range(5, 151):
+        for nf in all_normal_forms(n):
+            assert _interval_pair(nf) == oracle_search_interval(n, nf.a, nf.b, nf.c), nf
+
+
+def test_search_interval_matches_the_oracle_on_random_large_normal_forms():
+    rng = random.Random(20261018)
+    misses = 0
+    for _ in range(2000):
+        n = rng.randint(500, 50_000)
+        a = rng.randint(2, (n + 1) // 4)
+        b = rng.randint(a, (n + 1) // 2 - a)
+        nf = NormalForm(n, a, b, a + b - 1)
+        expected = oracle_search_interval(n, a, b, nf.c)
+        assert _interval_pair(nf) == expected, nf
+        misses += expected is None
+    assert 0 < misses < 2000
+
+
+def test_search_interval_miss_visits_a_bounded_number_of_k(monkeypatch):
+    nf = NormalForm(32305, 4307, 11818, 16124)
+    visits = 0
+    ceil_div = certify._ceil_div
+
+    def counting_ceil_div(p, q):
+        nonlocal visits
+        visits += 1
+        return ceil_div(p, q)
+
+    monkeypatch.setattr(certify, "_ceil_div", counting_ceil_div)
+    assert search_interval(nf) is None
+    bound = min(nf.b, ((nf.n - 1) // nf.a) * nf.c // nf.n + 1)
+    assert bound == 4
+    assert visits <= bound
+
+
+def test_find_certificate_after_a_large_interval_miss():
+    cert = find_certificate(make_sequence(32305, [1233, 13317, 19794, 30266]))
+    assert isinstance(cert, Certificate)
+    assert (cert.m, cert.derivation) == (14908, MAJORITY_SMALL)
 
 
 def test_search_majority_small_frozen_and_conditions():
