@@ -9,7 +9,7 @@ prove index 1, and verifies the "index is always 1 when gcd(n, 6) = 1"
 claim exhaustively over ranges of moduli with brute-force cross-checks.
 """
 
-from .modring import gcd, inv, lpr, units
+from .modring import inv, units
 from .zseq import (
     IndexResult,
     Sequence,
@@ -64,7 +64,6 @@ __all__ = [
     "find_certificate",
     "find_counterexample",
     "finalize",
-    "gcd",
     "index",
     "inv",
     "is_minimal_zero_sum",
@@ -72,7 +71,6 @@ __all__ = [
     "iter_min_zero_sum4",
     "iter_orbit_reps",
     "lift_witness",
-    "lpr",
     "make_sequence",
     "normal_form_sequence",
     "nu",

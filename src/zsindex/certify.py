@@ -277,11 +277,12 @@ def small_a_certificate(nf: NormalForm) -> Certificate:
 def _compose(seq: Sequence, cert: Certificate, scaling: int | None) -> Certificate:
     """Turn a certificate for the classified copy scale(seq, scaling) into one for seq itself.
 
-    Without scaling, or with scaling 1, the copy has seq's coefficients and
-    the stage has already checked the certificate against them.  Otherwise
-    the composed multiplier is checked against seq here, and the interval
-    index is dropped: the composed multiplier no longer satisfies the
-    k-interval inequalities.
+    A search stage has checked its certificate against the normal-form
+    sequence, that is against the copy.  Without scaling, or with scaling 1,
+    the copy has seq's coefficients, so that check stands.  Otherwise the
+    composed multiplier is checked against seq here, and the interval index
+    is dropped: the composed multiplier no longer satisfies the k-interval
+    inequalities.
     """
     if scaling is None or scaling == 1:
         return cert
@@ -296,11 +297,17 @@ _Step = tuple[Certificate | CounterexampleReport | None, str] | None
 
 
 def _forced_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    if out.forced_multiplier is None:
+    """The forced multiplier, composed with the scaling when classify rescaled.
+
+    It answers for seq itself, so its one certificate is made, and checked,
+    against seq here, and no _compose pass follows.
+    """
+    fm = out.forced_multiplier
+    if fm is None:
         return None
-    if out.scaling is None:
-        return make_certificate(seq, out.forced_multiplier, FORCED), ""
-    return Certificate(out.forced_multiplier, FORCED), ""  # _compose checks it against seq
+    if out.scaling is not None:
+        fm = fm * out.scaling % seq.n
+    return make_certificate(seq, fm, FORCED), ""
 
 
 def _small_a_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
@@ -363,7 +370,7 @@ def _brute_force_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
 # stage on the classified copy answers for scale(seq, out.scaling); the
 # others answer for seq itself.  Brute force always decides.
 _STAGES = (
-    (FORCED, _forced_stage, True),
+    (FORCED, _forced_stage, False),
     (SMALL_A, _small_a_stage, True),
     (INTERVAL, _interval_stage, True),
     (HALF_INTERVAL, _half_interval_stage, True),

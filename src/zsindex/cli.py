@@ -11,8 +11,9 @@ Exit codes:
   0  success; for verify and witness, no counterexample
   1  verify or witness found a counterexample (a sequence with index >= 2)
   2  usage error or invalid input
-  3  internal failure: the certificate pipeline and the brute-force oracle
-     disagreed, so the run's results cannot be trusted
+  3  internal failure: on verify's own enumerated sequences the certificate
+     pipeline and the brute-force oracle disagreed, or the pipeline failed
+     its own certificate check, so the run's results cannot be trusted
 
 verify writes each report line as soon as its modulus is done (flushed,
 also with --out) and a progress note per modulus to stderr, with an ETA
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--from", dest="from_n", type=int, required=True, metavar="A")
     p_verify.add_argument("--to", dest="to_n", type=int, required=True, metavar="B")
     p_verify.add_argument(
-        "--filter", choices=("coprime6", "two-prime-powers", "all"), default="coprime6"
+        "--filter", choices=[name.replace("_", "-") for name in FILTERS], default="coprime6"
     )
     p_verify.add_argument("--mode", choices=MODES, default="full")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="J")

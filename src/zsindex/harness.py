@@ -6,9 +6,8 @@ pipeline gaps (brute-force fallbacks on unit-leading sequences over moduli
 that the constructive machinery is expected to cover), and any sequences
 whose brute-force index is 2 or more.
 
-Reports serialize to one JSON object per line with a stable key order, so
-runs are diffable; wall time is kept on the in-memory report but excluded
-from the serialized form to keep repeated runs byte-identical.
+Reports serialize to one JSON object per line with a stable key order and
+no timings, so repeated runs are byte-identical and diffable.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ import json
 import math
 import os
 import random
-import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -49,9 +47,11 @@ DEFAULT_SEED = 0
 
 
 class OracleDisagreement(RuntimeError):
-    """The certificate pipeline and the brute-force oracle disagree on a sequence.
+    """An internal failure on a sequence the harness enumerated itself.
 
-    This is an internal failure, never a verdict about the sequence.
+    Raised when the certificate pipeline and the brute-force oracle
+    disagree, or when the pipeline fails its own certificate check.  Never
+    a verdict about the sequence.
     """
 
 
@@ -64,7 +64,6 @@ class VerificationReport:
     derivation_histogram: dict[str, int]
     pipeline_gaps: int
     counterexamples: list[tuple[Sequence, IndexResult]]
-    wall_time: float = field(default=0.0)
 
 
 def _distinct_prime_factors(n: int) -> int:
@@ -102,13 +101,7 @@ def _passes_filter(n: int, filter_name: str) -> bool:
     raise ValueError(f"unknown filter {filter_name!r}, expected one of {FILTERS}")
 
 
-def verify_modulus(
-    n: int,
-    mode: str = "full",
-    *,
-    sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
-    seed: int = DEFAULT_SEED,
-) -> VerificationReport:
+def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     """Verify one modulus.
 
     full:   run find_certificate on every minimal zero-sum length-4 sequence.
@@ -119,14 +112,15 @@ def verify_modulus(
     sample: run it only on a deterministic 1-in-K subset of the sequences.
 
     In every mode a deterministic 1-in-K sample (seeded by n, K =
-    sample_interval) of the processed sequences is cross-checked against
-    the full brute-force index; a disagreement raises OracleDisagreement
-    since it would mean the pipeline and the oracle diverged.
+    DEFAULT_SAMPLE_INTERVAL) of the processed sequences is cross-checked
+    against the full brute-force index.  A disagreement raises
+    OracleDisagreement, and so does a ValueError from find_certificate:
+    the sequences are the enumerator's own, so either means the pipeline
+    failed, not the input.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    t0 = time.perf_counter()
-    rng = random.Random(f"{seed}:{n}")
+    rng = random.Random(f"{DEFAULT_SEED}:{n}")
     histogram: dict[str, int] = {}
     counterexamples: list[tuple[Sequence, IndexResult]] = []
     gaps = 0
@@ -136,7 +130,10 @@ def verify_modulus(
 
     def process(seq: Sequence, crosscheck: bool) -> None:
         nonlocal gaps
-        outcome = find_certificate(seq)
+        try:
+            outcome = find_certificate(seq)
+        except ValueError as exc:
+            raise OracleDisagreement(f"certificate pipeline failed: {exc}") from exc
         if isinstance(outcome, Certificate):
             histogram[outcome.derivation] = histogram.get(outcome.derivation, 0) + 1
             if outcome.derivation == BRUTE_FORCE and domain and _is_unit_leading(seq):
@@ -154,15 +151,15 @@ def verify_modulus(
     if mode == "full":
         for seq in iter_min_zero_sum4(n):
             sequences_checked += 1
-            process(seq, crosscheck=rng.randrange(sample_interval) == 0)
+            process(seq, crosscheck=rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0)
     elif mode == "orbits":
         for orbit in iter_orbit_reps(n):
             orbits_checked += 1
             sequences_checked += orbit.orbit_size
-            process(orbit.rep, crosscheck=rng.randrange(sample_interval) == 0)
+            process(orbit.rep, crosscheck=rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0)
     else:  # sample
         for seq in iter_min_zero_sum4(n):
-            if rng.randrange(sample_interval) == 0:
+            if rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0:
                 sequences_checked += 1
                 process(seq, crosscheck=True)
 
@@ -174,7 +171,6 @@ def verify_modulus(
         derivation_histogram=dict(sorted(histogram.items())),
         pipeline_gaps=gaps,
         counterexamples=counterexamples,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -185,8 +181,6 @@ def verify_range(
     mode: str = "full",
     *,
     jobs: int = 1,
-    sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
-    seed: int = DEFAULT_SEED,
 ) -> Iterator[VerificationReport]:
     """Yield one report per qualifying modulus in [from_n, to_n], in ascending n order.
 
@@ -195,7 +189,7 @@ def verify_range(
     ascending regardless of completion order.
     """
     moduli = select_moduli(from_n, to_n, filter_name)
-    worker = partial(verify_modulus, mode=mode, sample_interval=sample_interval, seed=seed)
+    worker = partial(verify_modulus, mode=mode)
     workers = _worker_count(jobs, len(moduli))
     if workers <= 1:
         for n in moduli:
@@ -236,7 +230,7 @@ def _fraction_json(value: Fraction) -> int | str:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    """One-line JSON form with stable key order; wall_time deliberately excluded."""
+    """One-line JSON form with stable key order."""
     payload = {
         "n": report.n,
         "mode": report.mode,

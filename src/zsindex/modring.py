@@ -1,7 +1,5 @@
-"""Exact residue and unit-group arithmetic over Z_n.
+"""Unit-group arithmetic over Z_n.
 
-Residues follow the least-positive convention: every class is represented
-by an integer in [1, n], with the zero class represented by n itself.
 Python integers are unbounded, so all operations are overflow-safe for
 arbitrarily large moduli.
 """
@@ -10,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["check_modulus", "gcd", "inv", "lpr", "units"]
+__all__ = ["check_modulus", "inv", "units"]
 
 
 def check_modulus(n: int) -> int:
@@ -18,22 +16,6 @@ def check_modulus(n: int) -> int:
     if n < 3:
         raise ValueError(f"modulus must be at least 3, got {n}")
     return n
-
-
-def lpr(x: int, n: int) -> int:
-    """Least positive residue of x modulo n: the unique r in [1, n] with r == x (mod n)."""
-    check_modulus(n)
-    r = x % n
-    return r if r else n
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def units(n: int) -> list[int]:

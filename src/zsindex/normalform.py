@@ -17,6 +17,11 @@ and y2 < n/2 < y3 is recorded as the normal form
 
 which satisfies 1 + c = a + b and 1 < a <= b < c < n/2.  Everything else
 is opaque and handled downstream by subgroup reduction or brute force.
+
+`classify` checks its input once: length 4 and minimal zero-sum.  The
+helpers below it trust that check and work on plain tuples.  The ladder
+reads nu as sum // n, and the scaled tuple needs no check either, since
+scaling by a unit keeps every coefficient nonzero and the sum zero mod n.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .modring import inv
-from .zseq import Sequence, is_minimal_zero_sum, make_sequence, nu, scale
+from .zseq import Sequence, is_minimal_zero_sum
 
 __all__ = [
     "TAG_ALL_BIG",
@@ -78,7 +82,7 @@ class ReductionOutcome:
 
     When `scaling` is present the tag, forced multiplier and normal form all
     describe the unit-scaled copy scale(S, scaling); a forced multiplier fm
-    then certifies the original sequence through lpr(fm * scaling, n).
+    then certifies the original sequence through (fm * scaling) % n.
     Without scaling they describe the sequence itself.
     """
 
@@ -100,31 +104,39 @@ def to_unit_leading(seq: Sequence) -> tuple[int, Sequence] | None:
 
     Returns (m, scaled) where m is the inverse of the smallest unit
     coefficient (smallest for determinism), or None when every coefficient
-    shares a factor with n.
+    shares a factor with n.  Checks its input like classify, then wraps the
+    same unchecked helper.
     """
     _require_minimal4(seq)
-    return _unit_leading(seq)
+    ul = _unit_leading(seq.n, seq.coeffs)
+    return None if ul is None else (ul[0], Sequence(seq.n, ul[1]))
 
 
-def _unit_leading(seq: Sequence) -> tuple[int, Sequence] | None:
-    """to_unit_leading without the input check, for callers that made it already."""
-    n = seq.n
-    for x in seq.coeffs:
+def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """The inverse m of the smallest unit coefficient and the sorted image m*coeffs.
+
+    No checks: the caller has checked that coeffs is minimal zero-sum mod n,
+    and the coefficient just found coprime to n is a unit.
+    """
+    for x in coeffs:
         if math.gcd(x, n) == 1:
-            m = inv(x, n)
-            return m, scale(seq, m)
+            m = pow(x, -1, n)
+            return m, tuple(sorted(m * y % n for y in coeffs))
     return None
 
 
-def _forced(seq: Sequence) -> tuple[str, int] | None:
-    """Forced-multiplier ladder on one tuple; None when nu=2 splits strictly around n/2."""
-    n = seq.n
-    v = nu(seq)
+def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int] | None:
+    """Forced-multiplier ladder on a zero-sum tuple; None when nu=2 splits strictly around n/2.
+
+    nu is read as sum // n without a check: classify checked the zero sum,
+    and a unit-scaled copy keeps it.
+    """
+    v = sum(coeffs) // n
     if v == 1:
         return TAG_NU1, 1
     if v == 3:
         return TAG_NU3, n - 1
-    x2, x3 = seq.coeffs[1], seq.coeffs[2]
+    x2, x3 = coeffs[1], coeffs[2]
     if n % 2 == 1:  # n-2 and 2 are units only for odd n
         if 2 * x3 < n:
             return TAG_ALL_SMALL, n - 2
@@ -141,23 +153,22 @@ def classify(seq: Sequence) -> ReductionOutcome:
     to opaque, because their would-be multipliers n-2 and 2 are not units.
     """
     _require_minimal4(seq)
-    n = seq.n
-    hit = _forced(seq)
+    n, coeffs = seq.n, seq.coeffs
+    hit = _forced(n, coeffs)
     if hit is not None:
         tag, fm = hit
         return ReductionOutcome(tag, forced_multiplier=fm)
-    x2, x3 = seq.coeffs[1], seq.coeffs[2]
-    if not (2 * x2 < n < 2 * x3):
+    if not (2 * coeffs[1] < n < 2 * coeffs[2]):
         return ReductionOutcome(TAG_OPAQUE)
-    ul = _unit_leading(seq)
+    ul = _unit_leading(n, coeffs)
     if ul is None:
         return ReductionOutcome(TAG_OPAQUE)
     m, scaled = ul
-    hit = _forced(scaled)
+    hit = _forced(n, scaled)
     if hit is not None:
         tag, fm = hit
         return ReductionOutcome(tag, forced_multiplier=fm, scaling=m)
-    y2, y3, y4 = scaled.coeffs[1], scaled.coeffs[2], scaled.coeffs[3]
+    _, y2, y3, y4 = scaled
     if not (2 * y2 < n < 2 * y3):
         return ReductionOutcome(TAG_OPAQUE, scaling=m)
     nf = NormalForm(n, n - y4, n - y3, y2)
@@ -165,5 +176,9 @@ def classify(seq: Sequence) -> ReductionOutcome:
 
 
 def normal_form_sequence(nf: NormalForm) -> Sequence:
-    """The sequence (1, c, n-b, n-a) associated with a normal form."""
-    return make_sequence(nf.n, [1, nf.c, nf.n - nf.b, nf.n - nf.a])
+    """The sequence (1, c, n-b, n-a) associated with a normal form.
+
+    Built directly: NormalForm's invariants already make the tuple sorted
+    and in [1, n-1], and Sequence still checks it.
+    """
+    return Sequence(nf.n, (1, nf.c, nf.n - nf.b, nf.n - nf.a))

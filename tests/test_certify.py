@@ -28,7 +28,7 @@ from zsindex.certify import (
 )
 from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.normalform import NormalForm, normal_form_sequence
-from zsindex.zseq import index, make_sequence, weight
+from zsindex.zseq import Sequence, index, make_sequence, weight
 
 
 def in_two_prime_power_domain(n):
@@ -304,7 +304,10 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
     """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked once per
     classify call plus once per subgroup reduction, no (n, coeffs, m)
     weight check repeats within one find_certificate call, and shape_stats
-    (whose k1 the pipeline does not need) is never called."""
+    (whose k1 the pipeline does not need) is never called.  Below classify
+    nothing re-checks the input: no nu, inv, scale or make_sequence call,
+    and a call without subgroup reduction builds at most one Sequence, the
+    normal-form sequence a stage checks against."""
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zsindex"]
     calls = Counter()
     seen = set()
@@ -337,27 +340,54 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
 
         return wrapper
 
+    def reductions_counted(original):
+        def wrapper(seq):
+            calls["try_subgroup_reduce"] += 1
+            result = original(seq)
+            calls["reduced"] += result is not None
+            return result
+
+        return wrapper
+
     for home, name in [
         ("zseq", "is_minimal_zero_sum"),
         ("normalform", "classify"),
-        ("subgroup", "try_subgroup_reduce"),
         ("certify", "shape_stats"),
+        ("zseq", "nu"),
+        ("modring", "inv"),
+        ("zseq", "scale"),
+        ("zseq", "make_sequence"),
     ]:
         patch(home, name, counted(name))
+    patch("subgroup", "try_subgroup_reduce", reductions_counted)
     patch("zseq", "weight", checked_once)
+    check_sequence = Sequence.__post_init__
+
+    def post_init(seq):
+        calls["Sequence"] += 1
+        check_sequence(seq)
+
+    monkeypatch.setattr(Sequence, "__post_init__", post_init)
 
     sequences = 0
+    most_built = 0
     for n in range(5, 61):
         if math.gcd(n, 6) != 1:
             continue
         for seq in iter_min_zero_sum4(n):
             seen.clear()
+            built, reduced = calls["Sequence"], calls["reduced"]
             find_certificate(seq)
             sequences += 1
+            if calls["reduced"] == reduced:
+                most_built = max(most_built, calls["Sequence"] - built)
     assert calls["classify"] >= sequences
     assert calls["is_minimal_zero_sum"] <= calls["classify"] + calls["try_subgroup_reduce"]
     assert repeats == []
     assert calls["shape_stats"] == 0
+    assert calls["nu"] == calls["inv"] == calls["scale"] == calls["make_sequence"] == 0
+    assert calls["reduced"] > 0
+    assert most_built == 1
 
 
 def test_find_certificate_agrees_with_oracle_everywhere():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from zsindex import harness
+from zsindex import certify, harness
+from zsindex.certify import Certificate
 from zsindex.cli import main
 from zsindex.zseq import IndexResult
 
@@ -146,6 +147,20 @@ def test_verify_exits_three_when_pipeline_and_oracle_disagree(monkeypatch, capsy
     code = main(["verify", "--from", "5", "--to", "30", "--jobs", "1"])
     assert code == 3
     assert "pipeline/oracle disagreement" in capsys.readouterr().err
+
+
+def test_verify_exits_three_when_the_pipeline_fails_its_certificate_check(
+    monkeypatch, capsys
+):
+    # A wrong, unchecked interval multiplier: _compose's check against the
+    # enumerated sequence rejects it, and that is the program's fault.
+    wrong = Certificate(2, certify.INTERVAL, k=1)
+    monkeypatch.setattr(certify, "search_interval", lambda nf: wrong)
+    code = main(["verify", "--from", "5", "--to", "13", "--jobs", "1"])
+    assert code == 3
+    assert "internal error:" in capsys.readouterr().err
+    # Invalid user input to witness stays a usage error.
+    assert main(["witness", "--n", "7", "--seq", "1,6,1,6"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -117,7 +117,6 @@ def test_report_json_is_stable_and_complete():
     ]
     assert payload["counterexamples"][0] == {"seq": [1, 4, 5, 6], "value": 2, "witness": 1}
     assert "wall_time" not in payload
-    assert report.wall_time > 0
 
 
 def test_find_counterexample_examples():
