@@ -262,9 +262,8 @@ def small_a_certificate(nf: NormalForm) -> Certificate:
     if b % 2 == 0:
         return make_certificate(normal_form_sequence(nf), half, SMALL_A)
     t = (b - 1) // 2
-    inner = NormalForm(n, t + 1, (n - b) // 2, half)  # the rescaled shape
     k = _ceil_div(n - b, 2 * b)
-    while (2 * k + 1) * inner.a < n:
+    while (2 * k + 1) * (t + 1) < n:  # t + 1 is the rescaled shape's a'
         m_odd = 2 * k + 1
         if math.gcd(m_odd, n) == 1:
             return make_certificate(normal_form_sequence(nf), (m_odd * half) % n, SMALL_A)

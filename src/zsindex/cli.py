@@ -36,6 +36,7 @@ from .harness import (
     FILTERS,
     MODES,
     OracleDisagreement,
+    _fraction_json,
     find_counterexample,
     report_to_json,
     select_moduli,
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_index(args: argparse.Namespace) -> int:
     seq = make_sequence(args.n, args.seq)
     result = index(seq)
-    value = int(result.value) if result.value.denominator == 1 else str(result.value)
+    value = _fraction_json(result.value)
     print(
         json.dumps(
             {"n": args.n, "seq": list(seq.coeffs), "value": value, "witness": result.witness}

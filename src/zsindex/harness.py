@@ -39,7 +39,7 @@ __all__ = [
     "verify_range",
 ]
 
-MODES = ("full", "orbits", "sample")
+MODES = ("full", "orbits")
 FILTERS = ("coprime6", "two_prime_powers", "all")
 
 DEFAULT_SAMPLE_INTERVAL = 100
@@ -109,16 +109,21 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
             on orbits).  This saves certificate work, up to phi(n) times
             less of it, but representatives are still filtered out of the
             full O(n^3/6) enumeration, which bounds the mode's time.
-    sample: run it only on a deterministic 1-in-K subset of the sequences.
 
-    In every mode a deterministic 1-in-K sample (seeded by n, K =
+    In both modes a deterministic 1-in-K sample (seeded by n, K =
     DEFAULT_SAMPLE_INTERVAL) of the processed sequences is cross-checked
     against the full brute-force index.  A disagreement raises
     OracleDisagreement, and so does a ValueError from find_certificate:
     the sequences are the enumerator's own, so either means the pipeline
     failed, not the input.
     """
-    if mode not in MODES:
+    if mode == "full":
+        stream = ((seq, 1) for seq in iter_min_zero_sum4(n))
+        orbit_step = 0
+    elif mode == "orbits":
+        stream = ((orbit.rep, orbit.orbit_size) for orbit in iter_orbit_reps(n))
+        orbit_step = 1
+    else:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rng = random.Random(f"{DEFAULT_SEED}:{n}")
     histogram: dict[str, int] = {}
@@ -127,9 +132,9 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     sequences_checked = 0
     orbits_checked = 0
     domain = in_constructive_domain(n)
-
-    def process(seq: Sequence, crosscheck: bool) -> None:
-        nonlocal gaps
+    for seq, count in stream:
+        sequences_checked += count
+        orbits_checked += orbit_step
         try:
             outcome = find_certificate(seq)
         except ValueError as exc:
@@ -140,7 +145,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
                 gaps += 1
         else:
             counterexamples.append((seq, outcome.result))
-        if crosscheck:
+        if rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0:
             oracle = index(seq)
             if isinstance(outcome, Certificate) != (oracle.value == 1):
                 raise OracleDisagreement(
@@ -148,27 +153,12 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
                     f"pipeline={outcome!r} oracle={oracle!r}"
                 )
 
-    if mode == "full":
-        for seq in iter_min_zero_sum4(n):
-            sequences_checked += 1
-            process(seq, crosscheck=rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0)
-    elif mode == "orbits":
-        for orbit in iter_orbit_reps(n):
-            orbits_checked += 1
-            sequences_checked += orbit.orbit_size
-            process(orbit.rep, crosscheck=rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0)
-    else:  # sample
-        for seq in iter_min_zero_sum4(n):
-            if rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0:
-                sequences_checked += 1
-                process(seq, crosscheck=True)
-
     return VerificationReport(
         n=n,
         mode=mode,
         sequences_checked=sequences_checked,
         orbits_checked=orbits_checked,
-        derivation_histogram=dict(sorted(histogram.items())),
+        derivation_histogram=histogram,
         pipeline_gaps=gaps,
         counterexamples=counterexamples,
     )

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .certify import LIFTED, Certificate, make_certificate
-from .zseq import Sequence, is_minimal_zero_sum
+from .normalform import _require_minimal4
+from .zseq import Sequence
 
 __all__ = ["SubgroupReduction", "lift_witness", "try_subgroup_reduce"]
 
@@ -31,10 +32,7 @@ class SubgroupReduction:
 
 def try_subgroup_reduce(seq: Sequence) -> SubgroupReduction | None:
     """Reduce by d = gcd(all coefficients, n) when d > 1 and n/d >= 3."""
-    if len(seq.coeffs) != 4:
-        raise ValueError("subgroup reduction expects a length-4 sequence")
-    if not is_minimal_zero_sum(seq):
-        raise ValueError(f"{seq.coeffs} over {seq.n} is not minimal zero-sum")
+    _require_minimal4(seq)
     n = seq.n
     d = n
     for x in seq.coeffs:

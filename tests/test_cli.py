@@ -137,6 +137,13 @@ def test_usage_errors_exit_two(capsys):
     assert err.value.code == 2
 
 
+def test_verify_offers_only_full_and_orbit_modes(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--from", "5", "--to", "10", "--mode", "sample"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_invalid_sequence_reports_error(capsys):
     code = main(["index", "--n", "10", "--seq", "5,5,10,1"])
     assert code == 2  # zero class rejected

@@ -1,10 +1,11 @@
 import json
 import math
+import random
 
 import pytest
 
 from zsindex import harness
-from zsindex.enumeration import iter_min_zero_sum4
+from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.harness import (
     find_counterexample,
     in_constructive_domain,
@@ -40,10 +41,33 @@ def test_verify_modulus_orbit_mode_matches_full_counts():
         assert bool(orbits.counterexamples) == bool(full.counterexamples)
 
 
-def test_verify_modulus_sample_mode_is_a_subset():
-    full = verify_modulus(35, "full")
-    sample = verify_modulus(35, "sample")
-    assert 0 < sample.sequences_checked < full.sequences_checked
+def test_verify_modulus_rejects_unknown_modes():
+    assert harness.MODES == ("full", "orbits")
+    with pytest.raises(ValueError):
+        verify_modulus(25, "sample")
+
+
+@pytest.mark.parametrize("mode", ["full", "orbits"])
+@pytest.mark.parametrize("n", [25, 35, 49, 77])
+def test_oracle_sees_a_seeded_one_in_100_draw_of_the_processed_stream(monkeypatch, n, mode):
+    seen = []
+    real_index = harness.index
+
+    def recording_index(seq):
+        seen.append(seq.coeffs)
+        return real_index(seq)
+
+    monkeypatch.setattr(harness, "index", recording_index)
+    verify_modulus(n, mode)
+    if mode == "full":
+        stream = list(iter_min_zero_sum4(n))
+    else:
+        stream = [orbit.rep for orbit in iter_orbit_reps(n)]
+    rng = random.Random(f"0:{n}")
+    expected = [seq.coeffs for seq in stream if rng.randrange(100) == 0]
+    assert seen == expected
+    # n = 25 and 35 have too few orbits (32 and 79) for a 1-in-100 draw to hit
+    assert expected or (mode, n) in {("orbits", 25), ("orbits", 35)}
 
 
 def test_sequences_checked_matches_independent_recount():
@@ -53,12 +77,12 @@ def test_sequences_checked_matches_independent_recount():
 
 
 def test_verify_range_filters_and_order():
-    reports = list(verify_range(5, 30, "coprime6", "sample"))
+    reports = list(verify_range(5, 30, "coprime6", "orbits"))
     moduli = [r.n for r in reports]
     assert moduli == [n for n in range(5, 31) if math.gcd(n, 6) == 1]
     assert moduli == sorted(moduli)
 
-    reports = list(verify_range(25, 40, "two_prime_powers", "sample"))
+    reports = list(verify_range(25, 40, "two_prime_powers", "orbits"))
     assert [r.n for r in reports] == [25, 29, 31, 35, 37]
 
 
