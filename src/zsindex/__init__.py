@@ -9,7 +9,6 @@ prove index 1, and verifies the "index is always 1 when gcd(n, 6) = 1"
 claim exhaustively over ranges of moduli with brute-force cross-checks.
 """
 
-from .modring import inv, units
 from .zseq import (
     IndexResult,
     Sequence,
@@ -19,10 +18,11 @@ from .zseq import (
     make_sequence,
     nu,
     scale,
+    units,
     weight,
 )
 from .enumeration import OrbitRep, iter_min_zero_sum4, iter_orbit_reps, orbit_canonical
-from .normalform import NormalForm, ReductionOutcome, classify, normal_form_sequence, to_unit_leading
+from .normalform import NormalForm, ReductionOutcome, classify, normal_form_sequence
 from .certify import (
     Certificate,
     CertificateMiss,
@@ -65,7 +65,6 @@ __all__ = [
     "find_counterexample",
     "finalize",
     "index",
-    "inv",
     "is_minimal_zero_sum",
     "is_zero_sum",
     "iter_min_zero_sum4",
@@ -82,7 +81,6 @@ __all__ = [
     "search_majority_small",
     "shape_stats",
     "small_a_certificate",
-    "to_unit_leading",
     "try_subgroup_reduce",
     "units",
     "verify_certificate",

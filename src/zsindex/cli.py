@@ -42,7 +42,7 @@ from .harness import (
     select_moduli,
     verify_range,
 )
-from .zseq import index, make_sequence
+from .zseq import IndexResult, Sequence, index, make_sequence
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -91,15 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    seq = make_sequence(args.n, args.seq)
-    result = index(seq)
+def _print_index_result(seq: Sequence, result: IndexResult) -> None:
     value = _fraction_json(result.value)
     print(
-        json.dumps(
-            {"n": args.n, "seq": list(seq.coeffs), "value": value, "witness": result.witness}
-        )
+        json.dumps({"n": seq.n, "seq": list(seq.coeffs), "value": value, "witness": result.witness})
     )
+
+
+def _cmd_index(args: argparse.Namespace) -> int:
+    seq = make_sequence(args.n, args.seq)
+    _print_index_result(seq, index(seq))
     return 0
 
 
@@ -192,17 +193,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if hit is None:
         print("none")
         return 0
-    seq, result = hit
-    print(
-        json.dumps(
-            {
-                "n": args.n,
-                "seq": list(seq.coeffs),
-                "value": int(result.value),
-                "witness": result.witness,
-            }
-        )
-    )
+    _print_index_result(*hit)
     return 0
 
 

@@ -5,11 +5,12 @@ unique x4, so it costs O(n^3/6) per modulus.  No cleverer sieve is used on
 purpose: this stream is the trusted ground truth that every verification
 mode builds on, and it must stay simple enough to audit by eye.
 
-Orbit representatives are filtered out of that same stream.  The lex-least
-member of a unit orbit starts with d = min gcd(x_i, n), so a sequence whose
-first coefficient is not that d is dropped in O(1); the rest are tested
-only against the units that send one of their gcd-d coefficients to d,
-which are the only units that could map them to a smaller tuple.
+Unit orbits follow one candidate rule.  The lex-least member of an orbit
+starts with d = min gcd(x_i, n), and only the candidate units, those
+m = (x/d)^-1 (mod n/d) that send a coefficient x of gcd d to d, can give a
+copy that starts with d.  Orbit representatives are filtered out of the
+enumerated stream: a sequence whose first coefficient is not that d is
+dropped in O(1), and the rest are tested against their candidates only.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .modring import check_modulus, units
-from .zseq import Sequence, _minimal_zero_sum4_raw
+from .zseq import Sequence, _minimal_zero_sum4_raw, check_modulus, units
 
 __all__ = ["OrbitRep", "iter_min_zero_sum4", "iter_orbit_reps", "orbit_canonical"]
 
@@ -57,20 +57,19 @@ def orbit_canonical(seq: Sequence) -> OrbitRep:
 
     The representative is the lexicographically least sorted coefficient
     tuple among all unit-scaled copies; orbit_size counts the distinct
-    copies (it always divides phi(n)).
+    copies (it always divides phi(n)).  Both come from the candidate units
+    alone: the least copy starts with d = min gcd(x_i, n), every copy that
+    starts with d is the image under a candidate, and every unit that fixes
+    the representative is one of its candidates, so orbit_size =
+    phi(n) / |stabiliser|.
     """
     if len(seq.coeffs) != 4:
         raise ValueError("orbit_canonical expects a length-4 sequence")
     n = seq.n
     coeffs = seq.coeffs
-    seen = set()
-    best = coeffs
-    for m in units(n):
-        t = tuple(sorted((m * x) % n for x in coeffs))
-        seen.add(t)
-        if t < best:
-            best = t
-    return OrbitRep(Sequence(n, best), len(seen))
+    d = min(math.gcd(x, n) for x in coeffs)
+    best = min(tuple(sorted((m * x) % n for x in coeffs)) for m in _candidates(coeffs, n, d))
+    return OrbitRep(Sequence(n, best), len(units(n)) // _stabiliser_size(best, n, d))
 
 
 def iter_orbit_reps(n: int) -> Iterator[OrbitRep]:
@@ -84,44 +83,46 @@ def iter_orbit_reps(n: int) -> Iterator[OrbitRep]:
     Every element y of a scaled copy satisfies y >= gcd(y, n), and some
     unit sends a coefficient with the least gcd d to d itself, so a
     representative has x1 = d: x1 divides n and no gcd(x_i, n) is below
-    it.  A sequence passing that test can only be beaten by a unit m with
-    m*x = d for one of its coefficients x of gcd d, that is by a unit
-    m = (x/d)^-1 (mod n/d); it is a representative iff no such candidate
-    sorts to a smaller tuple.  The candidates that give the sequence back
-    are its whole stabiliser, so orbit_size = phi(n) / |stabiliser|.
+    it.  A sequence passing that test can only be beaten by one of its
+    candidate units; it is a representative iff no candidate sorts it to a
+    smaller tuple.  The candidates that give the sequence back are its
+    whole stabiliser, so orbit_size = phi(n) / |stabiliser|.
     """
-    us = units(n)
-    by_divisor: dict[int, dict[int, list[int]]] = {}
+    phi = len(units(n))
     for seq in iter_min_zero_sum4(n):
         coeffs = seq.coeffs
         d = coeffs[0]
         if n % d or (d > 1 and min(math.gcd(x, n) for x in coeffs[1:]) < d):
             continue
-        groups = by_divisor.get(d)
-        if groups is None:
-            groups = by_divisor[d] = {}
-            for m in us:
-                groups.setdefault(m % (n // d), []).append(m)
-        stabiliser = _stabiliser_size(coeffs, n, d, groups)
+        stabiliser = _stabiliser_size(coeffs, n, d)
         if stabiliser:
-            yield OrbitRep(seq, len(us) // stabiliser)
+            yield OrbitRep(seq, phi // stabiliser)
 
 
-def _stabiliser_size(coeffs: tuple[int, ...], n: int, d: int, groups: dict[int, list[int]]) -> int:
+def _candidates(coeffs: tuple[int, ...], n: int, d: int) -> Iterator[int]:
+    """The units m = (x/d)^-1 (mod n/d) for each distinct coefficient x with gcd(x, n) = d.
+
+    These are exactly the units that send some gcd-d coefficient to d.
+    """
+    step = n // d
+    for x in set(coeffs):
+        if math.gcd(x, n) == d:
+            for m in range(pow(x // d, -1, step), n, step):
+                if math.gcd(m, n) == 1:
+                    yield m
+
+
+def _stabiliser_size(coeffs: tuple[int, ...], n: int, d: int) -> int:
     """Number of units that map coeffs to itself, or 0 if one maps it lower.
 
-    Only the candidate units m = (x/d)^-1 (mod n/d), for the distinct
-    coefficients x with gcd(x, n) = d, are tried; groups maps each residue
-    mod n/d to the units in that class.
+    Only the _candidates are tried, which is enough when coeffs starts
+    with d = min gcd(x_i, n).
     """
     stabiliser = 0
-    for x in set(coeffs):
-        if math.gcd(x, n) != d:
-            continue
-        for m in groups[pow(x // d, -1, n // d)]:
-            image = tuple(sorted((m * y) % n for y in coeffs))
-            if image < coeffs:
-                return 0
-            if image == coeffs:
-                stabiliser += 1
+    for m in _candidates(coeffs, n, d):
+        image = tuple(sorted((m * y) % n for y in coeffs))
+        if image < coeffs:
+            return 0
+        if image == coeffs:
+            stabiliser += 1
     return stabiliser

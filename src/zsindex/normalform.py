@@ -42,7 +42,6 @@ __all__ = [
     "ReductionOutcome",
     "classify",
     "normal_form_sequence",
-    "to_unit_leading",
 ]
 
 TAG_NU1 = "nu1"
@@ -97,19 +96,6 @@ def _require_minimal4(seq: Sequence) -> None:
         raise ValueError("expected a length-4 sequence")
     if not is_minimal_zero_sum(seq):
         raise ValueError(f"{seq.coeffs} over {seq.n} is not minimal zero-sum")
-
-
-def to_unit_leading(seq: Sequence) -> tuple[int, Sequence] | None:
-    """Rescale so that some coefficient becomes 1, if any coefficient is a unit.
-
-    Returns (m, scaled) where m is the inverse of the smallest unit
-    coefficient (smallest for determinism), or None when every coefficient
-    shares a factor with n.  Checks its input like classify, then wraps the
-    same unchecked helper.
-    """
-    _require_minimal4(seq)
-    ul = _unit_leading(seq.n, seq.coeffs)
-    return None if ul is None else (ul[0], Sequence(seq.n, ul[1]))
 
 
 def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

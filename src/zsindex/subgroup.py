@@ -23,11 +23,11 @@ __all__ = ["SubgroupReduction", "lift_witness", "try_subgroup_reduce"]
 
 @dataclass(frozen=True)
 class SubgroupReduction:
-    """A common divisor d > 1 of all coefficients and n, with the divided-out sequence."""
+    """A divisor d > 1 common to all coefficients and n, the reduced sequence and the original."""
 
     d: int
     reduced: Sequence
-    original_n: int
+    original: Sequence
 
 
 def try_subgroup_reduce(seq: Sequence) -> SubgroupReduction | None:
@@ -40,7 +40,7 @@ def try_subgroup_reduce(seq: Sequence) -> SubgroupReduction | None:
     if d <= 1 or n // d < 3:
         return None
     reduced = Sequence(n // d, tuple(x // d for x in seq.coeffs))
-    return SubgroupReduction(d=d, reduced=reduced, original_n=n)
+    return SubgroupReduction(d=d, reduced=reduced, original=seq)
 
 
 def lift_witness(reduction: SubgroupReduction, m_sub: int) -> Certificate:
@@ -51,7 +51,7 @@ def lift_witness(reduction: SubgroupReduction, m_sub: int) -> Certificate:
     t >= 0 making it coprime to n; since |m * d * y|_n = d * |m * y|_{n/d},
     its weight against the original sequence is d * (n/d) = n.
     """
-    n = reduction.original_n
+    n = reduction.original.n
     d = reduction.d
     n_sub = reduction.reduced.n
     if math.gcd(m_sub, n_sub) != 1:
@@ -59,10 +59,9 @@ def lift_witness(reduction: SubgroupReduction, m_sub: int) -> Certificate:
     # No weight check on the reduced sequence: the lift's weight is d times
     # m_sub's weight there, so make_certificate below rejects any m_sub
     # that does not certify it.
-    original = Sequence(n, tuple(x * d for x in reduction.reduced.coeffs))
     base = m_sub % n_sub
     for t in range(d):
         m = base + t * n_sub
         if math.gcd(m, n) == 1:
-            return make_certificate(original, m, LIFTED)
+            return make_certificate(reduction.original, m, LIFTED)
     raise AssertionError("unreachable: a coprime lift exists within d steps")

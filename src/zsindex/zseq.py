@@ -1,8 +1,9 @@
-"""Sequences over Z_n: zero-sum and minimality predicates, weights, brute-force index.
+"""Sequences over Z_n: units, zero-sum and minimality predicates, weights, brute-force index.
 
 The brute-force index scan in this module is the ground-truth oracle for
 everything else in the package: certificate searches are validated against
-it and counterexample reports carry its result.
+it and counterexample reports carry its result.  Python integers are
+unbounded, so all arithmetic is overflow-safe for arbitrarily large moduli.
 """
 
 from __future__ import annotations
@@ -11,22 +12,39 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modring import check_modulus
-
 __all__ = [
     "MAX_LEN",
     "IndexResult",
     "Sequence",
+    "check_modulus",
     "index",
     "is_minimal_zero_sum",
     "is_zero_sum",
     "make_sequence",
     "nu",
     "scale",
+    "units",
     "weight",
 ]
 
 MAX_LEN = 8
+
+
+def check_modulus(n: int) -> int:
+    """Validate a modulus; every construction in this package needs n >= 3."""
+    if n < 3:
+        raise ValueError(f"modulus must be at least 3, got {n}")
+    return n
+
+
+def units(n: int) -> list[int]:
+    """All m in [1, n-1] coprime to n, in ascending order.
+
+    The ascending order is load-bearing: every "first witness" scan in the
+    package inherits its determinism from it.
+    """
+    check_modulus(n)
+    return [m for m in range(1, n) if math.gcd(m, n) == 1]
 
 
 @dataclass(frozen=True)

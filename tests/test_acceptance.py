@@ -26,8 +26,7 @@ from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.harness import find_counterexample, verify_modulus, verify_range
 from zsindex.normalform import NormalForm, classify, normal_form_sequence
 from zsindex.subgroup import lift_witness, try_subgroup_reduce
-from zsindex.zseq import index, is_minimal_zero_sum, make_sequence, nu, scale, weight
-from zsindex.modring import units
+from zsindex.zseq import index, is_minimal_zero_sum, make_sequence, nu, scale, units, weight
 from zsindex.certify import find_certificate
 
 CONSTRUCTIVE_MODULI = [25, 49, 121, 125, 169, 35, 55, 77, 91, 175, 245, 275, 343]

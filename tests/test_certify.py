@@ -305,7 +305,7 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
     classify call plus once per subgroup reduction, no (n, coeffs, m)
     weight check repeats within one find_certificate call, and shape_stats
     (whose k1 the pipeline does not need) is never called.  Below classify
-    nothing re-checks the input: no nu, inv, scale or make_sequence call,
+    nothing re-checks the input: no nu, scale or make_sequence call,
     and a call without subgroup reduction builds at most one Sequence, the
     normal-form sequence a stage checks against."""
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zsindex"]
@@ -354,7 +354,6 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
         ("normalform", "classify"),
         ("certify", "shape_stats"),
         ("zseq", "nu"),
-        ("modring", "inv"),
         ("zseq", "scale"),
         ("zseq", "make_sequence"),
     ]:
@@ -385,7 +384,7 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
     assert calls["is_minimal_zero_sum"] <= calls["classify"] + calls["try_subgroup_reduce"]
     assert repeats == []
     assert calls["shape_stats"] == 0
-    assert calls["nu"] == calls["inv"] == calls["scale"] == calls["make_sequence"] == 0
+    assert calls["nu"] == calls["scale"] == calls["make_sequence"] == 0
     assert calls["reduced"] > 0
     assert most_built == 1
 

@@ -1,11 +1,11 @@
 import math
+import random
 
 import pytest
 
 from conftest import oracle_enumerate4, oracle_orbit_reps, totient
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps, orbit_canonical
-from zsindex.modring import units
-from zsindex.zseq import Sequence, index, is_minimal_zero_sum, make_sequence, nu, scale
+from zsindex.zseq import Sequence, index, is_minimal_zero_sum, make_sequence, nu, scale, units
 
 
 def test_n5_exact_enumeration():
@@ -78,6 +78,31 @@ def test_orbit_canonical_is_idempotent_and_sizes_divide_phi():
             assert again.rep == orbit.rep
             assert again.orbit_size == orbit.orbit_size
             assert phi % orbit.orbit_size == 0
+
+
+def _unit_scan(n, coeffs):
+    """Least sorted image over all phi(n) units and the number of distinct images."""
+    images = {tuple(sorted((m * x) % n for x in coeffs)) for m in units(n)}
+    return min(images), len(images)
+
+
+def test_orbit_canonical_matches_a_full_unit_scan():
+    # Every input, not only representatives; and tuples that are not
+    # zero-sum, since the contract asks only for length 4.
+    for n in range(3, 51):
+        for seq in iter_min_zero_sum4(n):
+            orbit = orbit_canonical(seq)
+            assert (orbit.rep.coeffs, orbit.orbit_size) == _unit_scan(n, seq.coeffs)
+    rng = random.Random(4)
+    tested = 0
+    while tested < 3000:
+        n = rng.randint(3, 200)
+        coeffs = tuple(sorted(rng.randint(1, n - 1) for _ in range(4)))
+        if sum(coeffs) % n == 0:
+            continue
+        orbit = orbit_canonical(Sequence(n, coeffs))
+        assert (orbit.rep.coeffs, orbit.orbit_size) == _unit_scan(n, coeffs)
+        tested += 1
 
 
 def test_orbit_reps_cover_everything_exactly_once():

@@ -12,8 +12,8 @@ from zsindex.normalform import (
     TAG_OPAQUE,
     NormalForm,
     classify,
+    _unit_leading,
     normal_form_sequence,
-    to_unit_leading,
 )
 from zsindex.zseq import is_minimal_zero_sum, make_sequence, nu, scale, weight
 
@@ -30,12 +30,11 @@ def all_normal_forms(n):
             yield NormalForm(n, a, b, c)
 
 
-def test_to_unit_leading_examples():
-    assert to_unit_leading(make_sequence(175, [5, 77, 133, 135])) is None
-    m, scaled = to_unit_leading(make_sequence(11, [2, 6, 7, 7]))
-    assert m == 6 and scaled.coeffs == (1, 3, 9, 9)
-    m, scaled = to_unit_leading(make_sequence(25, [1, 11, 18, 20]))
-    assert m == 1 and scaled.coeffs == (1, 11, 18, 20)
+def test_unit_leading_examples():
+    assert _unit_leading(175, (5, 77, 133, 135)) is None
+    # The smallest unit coefficient is inverted: 2^-1 = 6 mod 11, not 7^-1 = 8.
+    assert _unit_leading(11, (2, 6, 7, 7)) == (6, (1, 3, 9, 9))
+    assert _unit_leading(25, (1, 11, 18, 20)) == (1, (1, 11, 18, 20))
 
 
 def test_classify_examples():

@@ -1,11 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_index, oracle_minimal_zero_sum
-from zsindex.modring import units
+from conftest import oracle_index, oracle_minimal_zero_sum, totient
 from zsindex.zseq import (
     Sequence,
     index,
@@ -14,6 +14,7 @@ from zsindex.zseq import (
     make_sequence,
     nu,
     scale,
+    units,
     weight,
 )
 
@@ -24,6 +25,33 @@ def sequences(draw, min_n=3, max_n=60, min_len=1, max_len=8):
     length = draw(st.integers(min_len, max_len))
     coeffs = draw(st.lists(st.integers(1, n - 1), min_size=length, max_size=length))
     return make_sequence(n, coeffs)
+
+
+def test_units_examples():
+    assert units(10) == [1, 3, 7, 9]
+    assert len(units(7)) == 6
+    assert len(units(175)) == 120
+
+
+def test_modulus_floor_enforced():
+    with pytest.raises(ValueError):
+        units(2)
+
+
+def test_units_are_ascending_and_coprime():
+    for n in (3, 4, 30, 49, 175):
+        us = units(n)
+        assert us == sorted(set(us))
+        assert all(math.gcd(m, n) == 1 and 1 <= m < n for m in us)
+
+
+def test_units_count_matches_totient():
+    # exhaustive on small moduli, deterministic sample up to 10**4
+    for n in range(3, 1501):
+        assert len(units(n)) == totient(n)
+    rng = random.Random(2024)
+    for n in sorted(rng.sample(range(1501, 10001), 120)):
+        assert len(units(n)) == totient(n)
 
 
 def test_make_sequence_examples():
