@@ -13,11 +13,12 @@ form (a, b, c) the searches are, in pipeline order:
   majority_small   M <= n/2 coprime to n with at least two of
                    |Ma|_n > n/2, |Mb|_n > n/2, |Mc|_n < n/2
 
-The last two produce an intermediate multiplier M under which at least
-three scaled coefficients drop below n/2; `finalize` composes M with the
-forced multipliers 1, n-1, n-2, 2 to finish.  Whatever the searches miss
-falls through to subgroup reduction and finally to the brute-force index
-scan, which is the oracle of record.
+The searches return multipliers, not certificates.  The last two give an
+intermediate M under which at least three scaled coefficients drop below
+n/2, and `finalize` reads the finishing factor off classify's forced ladder.
+`find_certificate` makes one `Certificate` per call, against its own input.
+What the searches miss falls through to subgroup reduction and finally to
+the brute-force index scan, which is the oracle of record.
 
 All interval comparisons are cross-multiplied integer comparisons; no
 floating point anywhere.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .normalform import NormalForm, ReductionOutcome, classify, normal_form_sequence
+from .normalform import NormalForm, ReductionOutcome, _forced, classify
 from .zseq import IndexResult, Sequence, index, weight
 
 __all__ = [
@@ -76,9 +77,9 @@ class CertificateMiss(Exception):
 class Certificate:
     """A unit multiplier m with weight n for the sequence it certifies.
 
-    k is the interval index and is only present for interval-derived
-    certificates whose m satisfies k*n <= m*c, m*b <= k*n, 1 <= k <= b and
-    m*a < n against the sequence's own normal form.
+    k is the interval index, present only when classify's scaling is None
+    or 1; m then satisfies k*n <= m*c, m*b <= k*n, 1 <= k <= b and m*a < n
+    against the sequence's own normal form.
     """
 
     m: int
@@ -151,9 +152,9 @@ def shape_stats(nf: NormalForm) -> ShapeStats:
     return ShapeStats(s=s, k1=k1)
 
 
-def search_interval(nf: NormalForm) -> Certificate | None:
+def search_interval(nf: NormalForm) -> tuple[int, int] | None:
     """First (k, m), k ascending then m ascending, with m in [k*n/c, k*n/b],
-    gcd(m, n) = 1, 1 <= k <= b and m*a < n.
+    gcd(m, n) = 1, 1 <= k <= b and m*a < n; None on a miss.
 
     Both interval endpoints are closed; an endpoint with m*c = k*n or
     m*b = k*n can never be coprime to n, so the convention costs nothing.
@@ -174,7 +175,7 @@ def search_interval(nf: NormalForm) -> Certificate | None:
             break
         for m in range(lo, min(k * n // b, top) + 1):
             if math.gcd(m, n) == 1:
-                return make_certificate(normal_form_sequence(nf), m, INTERVAL, k=k)
+                return k, m
     return None
 
 
@@ -221,23 +222,26 @@ def search_half_interval(nf: NormalForm) -> int | None:
 
 
 def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
-    """Compose an intermediate multiplier with the forced multipliers 1, n-1, n-2, 2.
+    """Finish an intermediate multiplier with the forced multiplier of its image.
 
-    Tries m = |mid|_n, |(n-1)mid|_n, |(n-2)mid|_n, |2 mid|_n in that order
-    and returns the first unit with weight n, or None if none certifies.
+    Reads f off classify's ladder on the sorted image of seq under mid and
+    certifies with |f*mid|_n: f is the first of 1, n-1, n-2, 2 that works.
+    None when the image (nu = 2) splits strictly around n/2, where all four
+    weigh 2n.  ValueError unless mid is a unit and seq zero-sum of length 4.
     """
-    n = seq.n
+    n, coeffs = seq.n, seq.coeffs
     if math.gcd(mid, n) != 1:
         raise ValueError(f"{mid} is not a unit modulo {n}")
-    for factor in (1, n - 1, n - 2, 2):
-        m = (factor * mid) % n
-        if verify_certificate(seq, m):
-            return Certificate(m=m, derivation=derivation)
-    return None
+    if len(coeffs) != 4 or sum(coeffs) % n != 0:
+        raise ValueError(f"finalize needs a zero-sum length-4 sequence, got {coeffs} over {n}")
+    hit = _forced(n, tuple(sorted(mid * x % n for x in coeffs)))
+    if hit is None:
+        return None
+    return make_certificate(seq, hit[1] * mid % n, derivation)
 
 
-def small_a_certificate(nf: NormalForm) -> Certificate:
-    """Certificate for a normal form with a = 2 over an odd modulus.
+def small_a_certificate(nf: NormalForm) -> int:
+    """Multiplier certifying the sequence of a normal form with a = 2 over an odd modulus.
 
     The sequence is (1, b+1, n-b, n-2).  For even b = 2t the multiplier
     (n-1)/2 works outright: the weight telescopes to m + (m-t) + t + 1 = n.
@@ -260,53 +264,45 @@ def small_a_certificate(nf: NormalForm) -> Certificate:
         raise ValueError("small_a_certificate requires an odd modulus")
     half = (n - 1) // 2
     if b % 2 == 0:
-        return make_certificate(normal_form_sequence(nf), half, SMALL_A)
+        return half
     t = (b - 1) // 2
     k = _ceil_div(n - b, 2 * b)
     while (2 * k + 1) * (t + 1) < n:  # t + 1 is the rescaled shape's a'
         m_odd = 2 * k + 1
         if math.gcd(m_odd, n) == 1:
-            return make_certificate(normal_form_sequence(nf), (m_odd * half) % n, SMALL_A)
+            return (m_odd * half) % n
         k += 1
     raise CertificateMiss(
         f"no odd multiplier certifies the b-odd construction for {nf}"
     )
 
 
-def _compose(seq: Sequence, cert: Certificate, scaling: int | None) -> Certificate:
-    """Turn a certificate for the classified copy scale(seq, scaling) into one for seq itself.
+def _on_input(
+    seq: Sequence, out: ReductionOutcome, m: int, derivation: str, k: int | None = None
+) -> Certificate:
+    """The certificate for seq from a multiplier m of the classified copy scale(seq, scaling).
 
-    A search stage has checked its certificate against the normal-form
-    sequence, that is against the copy.  Without scaling, or with scaling 1,
-    the copy has seq's coefficients, so that check stands.  Otherwise the
-    composed multiplier is checked against seq here, and the interval index
-    is dropped: the composed multiplier no longer satisfies the k-interval
-    inequalities.
+    With scaling None or 1 the copy is seq and m keeps its interval index k.
+    Otherwise seq's multiplier is |m*scaling|_n and k is dropped: it no
+    longer satisfies the k-interval inequalities.
     """
+    scaling = out.scaling
     if scaling is None or scaling == 1:
-        return cert
-    return make_certificate(seq, (cert.m * scaling) % seq.n, cert.derivation)
+        return make_certificate(seq, m, derivation, k)
+    return make_certificate(seq, m * scaling % seq.n, derivation)
 
 
 # A stage takes the sequence and its classification and returns None when
-# it does not apply, or (verdict, note): verdict is a Certificate, a
-# CounterexampleReport (brute force only) or None for a miss, and note
+# it does not apply, or (verdict, note): verdict is a Certificate for seq,
+# a CounterexampleReport (brute force only) or None for a miss, and note
 # is extra detail for the trace.
 _Step = tuple[Certificate | CounterexampleReport | None, str] | None
 
 
 def _forced_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    """The forced multiplier, composed with the scaling when classify rescaled.
-
-    It answers for seq itself, so its one certificate is made, and checked,
-    against seq here, and no _compose pass follows.
-    """
-    fm = out.forced_multiplier
-    if fm is None:
+    if out.forced_multiplier is None:
         return None
-    if out.scaling is not None:
-        fm = fm * out.scaling % seq.n
-    return make_certificate(seq, fm, FORCED), ""
+    return _on_input(seq, out, out.forced_multiplier, FORCED), ""
 
 
 def _small_a_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
@@ -314,21 +310,27 @@ def _small_a_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     if nf is None or nf.a != 2 or nf.n % 2 == 0:
         return None
     try:
-        return small_a_certificate(nf), ""
+        m = small_a_certificate(nf)
     except CertificateMiss as miss:
         return None, str(miss)
+    return _on_input(seq, out, m, SMALL_A), ""
 
 
 def _interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     if out.normal_form is None:
         return None
-    return search_interval(out.normal_form), ""
+    hit = search_interval(out.normal_form)
+    if hit is None:
+        return None, ""
+    k, m = hit
+    return _on_input(seq, out, m, INTERVAL, k), ""
 
 
-def _finish(nf: NormalForm, mid: int | None, derivation: str) -> _Step:
+def _finish(seq: Sequence, out: ReductionOutcome, mid: int | None, derivation: str) -> _Step:
+    """Finish the copy's intermediate multiplier on seq itself, through mid*scaling."""
     if mid is None:
         return None, ""
-    cert = finalize(normal_form_sequence(nf), mid, derivation)
+    cert = finalize(seq, mid * out.scaling % seq.n, derivation)
     return cert, f"M={mid}" if cert is not None else f"M={mid}, no finisher certified"
 
 
@@ -336,13 +338,13 @@ def _half_interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     nf = out.normal_form
     if nf is None or nf.b // nf.a < 2:
         return None
-    return _finish(nf, search_half_interval(nf), HALF_INTERVAL)
+    return _finish(seq, out, search_half_interval(nf), HALF_INTERVAL)
 
 
 def _majority_small_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     if out.normal_form is None:
         return None
-    return _finish(out.normal_form, search_majority_small(out.normal_form), MAJORITY_SMALL)
+    return _finish(seq, out, search_majority_small(out.normal_form), MAJORITY_SMALL)
 
 
 def _lifted_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
@@ -365,17 +367,16 @@ def _brute_force_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     return CounterexampleReport(sequence=seq, result=result), ""
 
 
-# (name, stage, works on the classified copy): the pipeline in order.  A
-# stage on the classified copy answers for scale(seq, out.scaling); the
-# others answer for seq itself.  Brute force always decides.
+# (name, stage): the pipeline in order.  Every stage answers for seq
+# itself; brute force always decides.
 _STAGES = (
-    (FORCED, _forced_stage, False),
-    (SMALL_A, _small_a_stage, True),
-    (INTERVAL, _interval_stage, True),
-    (HALF_INTERVAL, _half_interval_stage, True),
-    (MAJORITY_SMALL, _majority_small_stage, True),
-    (LIFTED, _lifted_stage, False),
-    (BRUTE_FORCE, _brute_force_stage, False),
+    (FORCED, _forced_stage),
+    (SMALL_A, _small_a_stage),
+    (INTERVAL, _interval_stage),
+    (HALF_INTERVAL, _half_interval_stage),
+    (MAJORITY_SMALL, _majority_small_stage),
+    (LIFTED, _lifted_stage),
+    (BRUTE_FORCE, _brute_force_stage),
 )
 
 
@@ -417,13 +418,11 @@ def find_certificate(
     out = classify(seq)
     if trace is not None:
         trace.append(_classify_line(out))
-    for name, stage, on_copy in _STAGES:
+    for name, stage in _STAGES:
         step = stage(seq, out)
         if step is None:
             continue
         verdict, note = step
-        if on_copy and verdict is not None:
-            verdict = _compose(seq, verdict, out.scaling)
         if trace is not None:
             trace.append(_stage_line(name, verdict, note))
         if verdict is not None:

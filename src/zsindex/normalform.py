@@ -112,10 +112,12 @@ def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]
 
 
 def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int] | None:
-    """Forced-multiplier ladder on a zero-sum tuple; None when nu=2 splits strictly around n/2.
+    """Forced ladder on a sorted zero-sum tuple; None when nu=2 splits strictly around n/2.
 
-    nu is read as sum // n without a check: classify checked the zero sum,
-    and a unit-scaled copy keeps it.
+    The one forced-multiplier rule: classify runs it on its input and on the
+    unit-scaled copy, and `certify.finalize` on the image under an
+    intermediate multiplier.  nu is read as sum // n without a check: both
+    callers have checked the zero sum, and a unit image keeps it.
     """
     v = sum(coeffs) // n
     if v == 1:

@@ -66,9 +66,6 @@ class Sequence:
                 raise ValueError("coefficients must be sorted ascending")
             prev = x
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
 
 @dataclass(frozen=True)
 class IndexResult:

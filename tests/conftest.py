@@ -106,3 +106,13 @@ def oracle_search_interval(n: int, a: int, b: int, c: int) -> tuple[int, int] | 
         if math.gcd(m, n) == 1 and k <= b and k * n <= m * c and (best is None or (k, m) < best):
             best = (k, m)
     return best
+
+
+def oracle_finalize(n: int, coeffs: tuple[int, ...], mid: int) -> int | None:
+    """The first of |f*mid|_n for f = 1, n-1, n-2, 2 that is a unit with weight
+    n against coeffs, or None: a trial over the four forced multipliers."""
+    for factor in (1, n - 1, n - 2, 2):
+        m = (factor * mid) % n
+        if math.gcd(m, n) == 1 and sum((m * x) % n for x in coeffs) == n:
+            return m
+    return None

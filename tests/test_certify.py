@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import factorize, oracle_search_interval
+from conftest import factorize, oracle_finalize, oracle_search_interval
 from test_normalform import all_normal_forms
 from zsindex import certify
 from zsindex.certify import (
@@ -28,7 +28,7 @@ from zsindex.certify import (
 )
 from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.normalform import NormalForm, normal_form_sequence
-from zsindex.zseq import Sequence, index, make_sequence, weight
+from zsindex.zseq import Sequence, index, make_sequence, units, weight
 
 
 def in_two_prime_power_domain(n):
@@ -91,10 +91,7 @@ def test_shape_stats_definition_holds():
     ],
 )
 def test_search_interval_examples(nf, k, m, weights):
-    cert = search_interval(nf)
-    assert cert is not None
-    assert (cert.k, cert.m) == (k, m)
-    assert cert.derivation == INTERVAL
+    assert search_interval(nf) == (k, m)
     seq = normal_form_sequence(nf)
     assert tuple((m * x) % nf.n for x in seq.coeffs) == weights
     assert sum(weights) == nf.n
@@ -103,10 +100,10 @@ def test_search_interval_examples(nf, k, m, weights):
 def test_interval_certificates_satisfy_the_interval_conditions():
     for n in (25, 49, 91, 143):
         for nf in all_normal_forms(n):
-            cert = search_interval(nf)
-            if cert is None:
+            hit = search_interval(nf)
+            if hit is None:
                 continue
-            k, m = cert.k, cert.m
+            k, m = hit
             assert 1 <= k <= nf.b
             assert k * n <= m * nf.c
             assert m * nf.b <= k * n
@@ -129,15 +126,10 @@ def test_interval_membership_with_small_ratio_forces_the_product_bound():
                         assert m * nf.a < n
 
 
-def _interval_pair(nf):
-    cert = search_interval(nf)
-    return None if cert is None else (cert.k, cert.m)
-
-
 def test_search_interval_matches_the_oracle_on_every_normal_form_up_to_150():
     for n in range(5, 151):
         for nf in all_normal_forms(n):
-            assert _interval_pair(nf) == oracle_search_interval(n, nf.a, nf.b, nf.c), nf
+            assert search_interval(nf) == oracle_search_interval(n, nf.a, nf.b, nf.c), nf
 
 
 def test_search_interval_matches_the_oracle_on_random_large_normal_forms():
@@ -149,7 +141,7 @@ def test_search_interval_matches_the_oracle_on_random_large_normal_forms():
         b = rng.randint(a, (n + 1) // 2 - a)
         nf = NormalForm(n, a, b, a + b - 1)
         expected = oracle_search_interval(n, a, b, nf.c)
-        assert _interval_pair(nf) == expected, nf
+        assert search_interval(nf) == expected, nf
         misses += expected is None
     assert 0 < misses < 2000
 
@@ -228,16 +220,31 @@ def test_finalize_examples():
     cert = finalize(make_sequence(7, [1, 1, 1, 4]), 1, "majority_small")
     assert cert is not None and cert.m == 1
     with pytest.raises(ValueError):
-        finalize(make_sequence(25, [1, 5, 21, 23]), 10, "half_interval")
+        finalize(make_sequence(25, [1, 5, 21, 23]), 10, "half_interval")  # 10 is no unit
+    with pytest.raises(ValueError):
+        finalize(make_sequence(25, [1, 5, 21, 22]), 11, "half_interval")  # not zero-sum
+    with pytest.raises(ValueError):
+        finalize(make_sequence(7, [1, 2, 4]), 1, "majority_small")  # length 3
+
+
+def test_finalize_matches_the_four_factor_trial_on_every_minimal_sequence_up_to_35():
+    pairs = 0
+    for n in range(3, 36):
+        unit_list = units(n)
+        for seq in iter_min_zero_sum4(n):
+            for mid in unit_list:
+                cert = finalize(seq, mid, MAJORITY_SMALL)
+                got = None if cert is None else cert.m
+                assert got == oracle_finalize(n, seq.coeffs, mid), (seq, mid)
+                pairs += 1
+    assert pairs == 275_336
 
 
 def test_small_a_examples():
-    cert = small_a_certificate(NormalForm(25, 2, 4, 5))
-    assert cert.m == 12
+    assert small_a_certificate(NormalForm(25, 2, 4, 5)) == 12
     assert weight(make_sequence(25, [1, 5, 21, 23]), 12) == 25
 
-    cert = small_a_certificate(NormalForm(25, 2, 5, 6))
-    assert cert.m == 9
+    assert small_a_certificate(NormalForm(25, 2, 5, 6)) == 9
     assert weight(make_sequence(25, [1, 6, 20, 23]), 9) == 25
 
     with pytest.raises(ValueError):
@@ -249,8 +256,7 @@ def test_small_a_even_b_always_certifies():
         for b in range(2, n, 2):
             if 2 * (b + 1) >= n:
                 break
-            cert = small_a_certificate(NormalForm(n, 2, b, b + 1))
-            assert cert.m == (n - 1) // 2
+            assert small_a_certificate(NormalForm(n, 2, b, b + 1)) == (n - 1) // 2
 
 
 def test_small_a_odd_b_known_misses():
@@ -302,12 +308,13 @@ def test_find_certificate_rejects_non_minimal_and_non_length_4(n, coeffs):
 
 def test_pipeline_checks_each_sequence_once(monkeypatch):
     """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked once per
-    classify call plus once per subgroup reduction, no (n, coeffs, m)
-    weight check repeats within one find_certificate call, and shape_stats
-    (whose k1 the pipeline does not need) is never called.  Below classify
-    nothing re-checks the input: no nu, scale or make_sequence call,
-    and a call without subgroup reduction builds at most one Sequence, the
-    normal-form sequence a stage checks against."""
+    classify call plus once per subgroup reduction, each find_certificate
+    call (recursive ones included) makes one verify_certificate call, no
+    (n, coeffs, m) weight check repeats within one top-level call, and
+    shape_stats (whose k1 the pipeline does not need) is never called.
+    Below classify nothing re-checks the input: no nu, scale or
+    make_sequence call, and a call without subgroup reduction builds no
+    Sequence at all."""
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zsindex"]
     calls = Counter()
     seen = set()
@@ -353,6 +360,8 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
         ("zseq", "is_minimal_zero_sum"),
         ("normalform", "classify"),
         ("certify", "shape_stats"),
+        ("certify", "find_certificate"),
+        ("certify", "verify_certificate"),
         ("zseq", "nu"),
         ("zseq", "scale"),
         ("zseq", "make_sequence"),
@@ -376,17 +385,19 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
         for seq in iter_min_zero_sum4(n):
             seen.clear()
             built, reduced = calls["Sequence"], calls["reduced"]
-            find_certificate(seq)
+            certify.find_certificate(seq)
             sequences += 1
             if calls["reduced"] == reduced:
                 most_built = max(most_built, calls["Sequence"] - built)
     assert calls["classify"] >= sequences
+    assert calls["find_certificate"] > sequences  # recursion through subgroup reduction
+    assert calls["verify_certificate"] == calls["find_certificate"]
     assert calls["is_minimal_zero_sum"] <= calls["classify"] + calls["try_subgroup_reduce"]
     assert repeats == []
     assert calls["shape_stats"] == 0
     assert calls["nu"] == calls["scale"] == calls["make_sequence"] == 0
     assert calls["reduced"] > 0
-    assert most_built == 1
+    assert most_built == 0
 
 
 def test_find_certificate_agrees_with_oracle_everywhere():
@@ -407,9 +418,9 @@ def test_all_searches_sound_on_every_normal_form_up_to_200():
     for n in range(5, 201):
         for nf in all_normal_forms(n):
             seq = normal_form_sequence(nf)
-            cert = search_interval(nf)
-            if cert is not None:
-                assert verify_certificate(seq, cert.m)
+            hit = search_interval(nf)
+            if hit is not None:
+                assert verify_certificate(seq, hit[1])
             if nf.b // nf.a >= 2:
                 mid = search_half_interval(nf)
                 if mid is not None:
@@ -423,10 +434,10 @@ def test_all_searches_sound_on_every_normal_form_up_to_200():
                     assert verify_certificate(seq, cert.m)
             if nf.a == 2 and n % 2 == 1:
                 try:
-                    cert = small_a_certificate(nf)
+                    m = small_a_certificate(nf)
                 except CertificateMiss:
                     continue
-                assert verify_certificate(seq, cert.m)
+                assert verify_certificate(seq, m)
 
 
 def test_structural_bound_when_half_intervals_have_no_coprime_integer():

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from zsindex import certify, harness
-from zsindex.certify import Certificate
 from zsindex.cli import main
 from zsindex.zseq import IndexResult
 
@@ -159,10 +160,9 @@ def test_verify_exits_three_when_pipeline_and_oracle_disagree(monkeypatch, capsy
 def test_verify_exits_three_when_the_pipeline_fails_its_certificate_check(
     monkeypatch, capsys
 ):
-    # A wrong, unchecked interval multiplier: _compose's check against the
-    # enumerated sequence rejects it, and that is the program's fault.
-    wrong = Certificate(2, certify.INTERVAL, k=1)
-    monkeypatch.setattr(certify, "search_interval", lambda nf: wrong)
+    # A wrong interval multiplier: the one certificate check, against the
+    # enumerated sequence, rejects it, and that is the program's fault.
+    monkeypatch.setattr(certify, "search_interval", lambda nf: (1, 2))
     code = main(["verify", "--from", "5", "--to", "13", "--jobs", "1"])
     assert code == 3
     assert "internal error:" in capsys.readouterr().err
@@ -170,24 +170,26 @@ def test_verify_exits_three_when_the_pipeline_fails_its_certificate_check(
     assert main(["witness", "--n", "7", "--seq", "1,6,1,6"]) == 2
 
 
+# The verify reports the benchmark pins: "--from A --to B --filter coprime6
+# --mode M" -> sha256 of standard output under --jobs 1, and exit code.
+PINNED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)["verify"]
+
+
 @pytest.mark.parametrize(
-    "mode, sha256",
-    [
-        ("orbits", "1a5000e5257953fd859cf4715c2064bc7a4d1933ffdeb5e9f1ebc394ef847a3e"),
-        ("full", "e2fe667a779df9fa993cde2614a49523bd2d0ad131abd7ba3dcf8ba4795856a1"),
-    ],
+    "args", list(PINNED), ids=[f"{a.split()[-1]}-{p['sha256']}" for a, p in PINNED.items()]
 )
-def test_verify_report_is_byte_identical_and_progress_carries_an_eta(capsys, mode, sha256):
-    code = main(
-        ["verify", "--from", "5", "--to", "40", "--filter", "coprime6", "--mode", mode,
-         "--jobs", "1"]
-    )
+def test_verify_report_is_byte_identical_and_progress_carries_an_eta(capsys, args):
+    argv = args.split()
+    code = main(["verify", *argv, "--jobs", "1"])
     captured = capsys.readouterr()
-    assert code == 0
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+    assert code == PINNED[args]["exit_code"]
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == PINNED[args]["sha256"]
     notes = captured.err.splitlines()[:-1]
     moduli = [int(line.split(":")[0][2:]) for line in notes]
-    assert moduli == [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37]
+    lo, hi = int(argv[argv.index("--from") + 1]), int(argv[argv.index("--to") + 1])
+    assert moduli == [n for n in range(lo, hi + 1) if math.gcd(n, 6) == 1]
     for line in notes:
         assert re.fullmatch(r"n=\d+: \d+ sequences, \d+\.\ds elapsed, ETA \d+\.\ds", line), line
     assert notes[-1].endswith(", ETA 0.0s")
