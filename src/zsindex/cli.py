@@ -31,10 +31,10 @@ from . import __version__
 from .certify import Certificate, find_certificate
 from .enumeration import iter_min_zero_sum4, iter_orbit_reps
 from .harness import (
-    DEFAULT_SAMPLE_INTERVAL,
-    DEFAULT_SEED,
     FILTERS,
     MODES,
+    SAMPLE_INTERVAL,
+    SEED,
     OracleDisagreement,
     _fraction_json,
     find_counterexample,
@@ -148,8 +148,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             "to": args.to_n,
             "filter": filter_name,
             "mode": args.mode,
-            "sample_interval": DEFAULT_SAMPLE_INTERVAL,
-            "seed": DEFAULT_SEED,
+            "sample_interval": SAMPLE_INTERVAL,
+            "seed": SEED,
         }
     }
     # Enumeration costs O(n^3) per modulus, so cubes weigh the work left.

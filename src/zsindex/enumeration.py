@@ -1,9 +1,11 @@
 """Exhaustive generation of length-4 minimal zero-sum sequences, plus unit orbits.
 
-The enumerator iterates all ordered triples (x1, x2, x3) and solves for the
-unique x4, so it costs O(n^3/6) per modulus.  No cleverer sieve is used on
-purpose: this stream is the trusted ground truth that every verification
-mode builds on, and it must stay simple enough to audit by eye.
+The enumerator iterates all ordered triples (x1, x2, x3), solves for the
+unique x4 and keeps the tuple when no pair through x1 sums to 0 mod n
+(zseq.is_minimal_zero_sum says why that is minimality), so it costs
+O(n^3/6) per modulus.  No cleverer sieve is used on purpose: this stream
+is the trusted ground truth that every verification mode builds on, and it
+must stay simple enough to audit by eye.
 
 Unit orbits follow one candidate rule.  The lex-least member of an orbit
 starts with d = min gcd(x_i, n), and only the candidate units, those
@@ -19,7 +21,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .zseq import Sequence, _minimal_zero_sum4_raw, check_modulus, units
+from .zseq import Sequence, check_modulus, units
 
 __all__ = ["OrbitRep", "iter_min_zero_sum4", "iter_orbit_reps", "orbit_canonical"]
 
@@ -37,18 +39,20 @@ def iter_min_zero_sum4(n: int) -> Iterator[Sequence]:
 
     Tuples come out in strictly increasing lexicographic order: for each
     ascending (x1, x2, x3) the last coefficient is forced by the zero-sum
-    condition, and it is kept only when x4 >= x3 and the 14 proper subset
-    sums are all nonzero mod n.
+    condition, and it is kept only when x4 >= x3 and no pair through x1
+    sums to 0 mod n, the minimality rule of zseq.is_minimal_zero_sum.
     """
     check_modulus(n)
     for x1 in range(1, n):
         for x2 in range(x1, n):
             s12 = x1 + x2
+            if s12 == n:
+                continue
             for x3 in range(x2, n):
                 x4 = -(s12 + x3) % n
-                if x4 < x3:  # covers x4 == 0 as well
-                    continue
-                if _minimal_zero_sum4_raw(n, x1, x2, x3, x4):
+                # Terms lie in [1, n-1], so a pair vanishes iff it sums to n,
+                # and x1 + x4 vanishes iff x2 + x3 does; x4 >= x3 rules out x4 = 0.
+                if x4 >= x3 and x1 + x3 != n and x2 + x3 != n:
                     yield Sequence(n, (x1, x2, x3, x4))
 
 

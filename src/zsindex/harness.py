@@ -42,8 +42,8 @@ __all__ = [
 MODES = ("full", "orbits")
 FILTERS = ("coprime6", "two_prime_powers", "all")
 
-DEFAULT_SAMPLE_INTERVAL = 100
-DEFAULT_SEED = 0
+SAMPLE_INTERVAL = 100
+SEED = 0
 
 
 class OracleDisagreement(RuntimeError):
@@ -111,8 +111,9 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
             full O(n^3/6) enumeration, which bounds the mode's time.
 
     In both modes a deterministic 1-in-K sample (seeded by n, K =
-    DEFAULT_SAMPLE_INTERVAL) of the processed sequences is cross-checked
-    against the full brute-force index.  A disagreement raises
+    SAMPLE_INTERVAL) of the processed sequences is cross-checked against
+    the full brute-force index, and so is the last one if the draw picks
+    none, so no modulus goes unchecked.  A disagreement raises
     OracleDisagreement, and so does a ValueError from find_certificate:
     the sequences are the enumerator's own, so either means the pipeline
     failed, not the input.
@@ -125,13 +126,14 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
         orbit_step = 1
     else:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    rng = random.Random(f"{DEFAULT_SEED}:{n}")
+    rng = random.Random(f"{SEED}:{n}")
     histogram: dict[str, int] = {}
     counterexamples: list[tuple[Sequence, IndexResult]] = []
     gaps = 0
     sequences_checked = 0
     orbits_checked = 0
     domain = in_constructive_domain(n)
+    drawn = False
     for seq, count in stream:
         sequences_checked += count
         orbits_checked += orbit_step
@@ -145,14 +147,11 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
                 gaps += 1
         else:
             counterexamples.append((seq, outcome.result))
-        if rng.randrange(DEFAULT_SAMPLE_INTERVAL) == 0:
-            oracle = index(seq)
-            if isinstance(outcome, Certificate) != (oracle.value == 1):
-                raise OracleDisagreement(
-                    f"pipeline/oracle disagreement on {seq.coeffs} over {n}: "
-                    f"pipeline={outcome!r} oracle={oracle!r}"
-                )
-
+        if rng.randrange(SAMPLE_INTERVAL) == 0:
+            drawn = True
+            _cross_check(seq, outcome)
+    if sequences_checked and not drawn:
+        _cross_check(seq, outcome)
     return VerificationReport(
         n=n,
         mode=mode,
@@ -162,6 +161,16 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
         pipeline_gaps=gaps,
         counterexamples=counterexamples,
     )
+
+
+def _cross_check(seq: Sequence, outcome: Certificate | CounterexampleReport) -> None:
+    """Raise OracleDisagreement unless the brute-force index agrees with the pipeline."""
+    oracle = index(seq)
+    if isinstance(outcome, Certificate) != (oracle.value == 1):
+        raise OracleDisagreement(
+            f"pipeline/oracle disagreement on {seq.coeffs} over {seq.n}: "
+            f"pipeline={outcome!r} oracle={oracle!r}"
+        )
 
 
 def verify_range(

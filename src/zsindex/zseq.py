@@ -116,30 +116,6 @@ def nu(seq: Sequence) -> int:
     return total // seq.n
 
 
-def _minimal_zero_sum4_raw(n: int, x1: int, x2: int, x3: int, x4: int) -> bool:
-    """All 14 proper nonempty subset sums of a zero-sum 4-tuple are nonzero mod n.
-
-    Unrolled for the enumeration hot path; must stay equivalent to the
-    generic bitmask check used by is_minimal_zero_sum.
-    """
-    return (
-        x1 % n != 0
-        and x2 % n != 0
-        and x3 % n != 0
-        and x4 % n != 0
-        and (x1 + x2) % n != 0
-        and (x1 + x3) % n != 0
-        and (x1 + x4) % n != 0
-        and (x2 + x3) % n != 0
-        and (x2 + x4) % n != 0
-        and (x3 + x4) % n != 0
-        and (x1 + x2 + x3) % n != 0
-        and (x1 + x2 + x4) % n != 0
-        and (x1 + x3 + x4) % n != 0
-        and (x2 + x3 + x4) % n != 0
-    )
-
-
 def _proper_subsets_nonzero(n: int, coeffs: tuple[int, ...]) -> bool:
     k = len(coeffs)
     for mask in range(1, (1 << k) - 1):
@@ -153,12 +129,21 @@ def _proper_subsets_nonzero(n: int, coeffs: tuple[int, ...]) -> bool:
 
 
 def is_minimal_zero_sum(seq: Sequence) -> bool:
-    """True when seq is zero-sum and no nonempty proper sub-multiset sums to 0 mod n."""
+    """True when seq is zero-sum and no nonempty proper sub-multiset sums to 0 mod n.
+
+    A zero-sum length-4 sequence is minimal iff no pair through x1 sums
+    to 0.  Every term lies in [1, n-1], so no single term vanishes, and a
+    zero 3-term sum would leave the fourth term 0; a zero pair forces its
+    complementary pair to 0, and every pair is x1's or the complement of
+    one.  This is the package's one statement of length-4 minimality.
+    """
     if not is_zero_sum(seq):
         return False
+    n = seq.n
     if len(seq.coeffs) == 4:
-        return _minimal_zero_sum4_raw(seq.n, *seq.coeffs)
-    return _proper_subsets_nonzero(seq.n, seq.coeffs)
+        x1, x2, x3, x4 = seq.coeffs
+        return (x1 + x2) % n != 0 and (x1 + x3) % n != 0 and (x1 + x4) % n != 0
+    return _proper_subsets_nonzero(n, seq.coeffs)
 
 
 def weight(seq: Sequence, m: int) -> int:

@@ -63,6 +63,27 @@ def oracle_enumerate4(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_count_minimal4(n: int) -> int:
+    """Number of minimal zero-sum ascending 4-tuples over Z_n, counted in O(n^2).
+
+    Such a tuple is minimal iff no pair sums to 0 mod n, and x1 + x4
+    vanishes iff x2 + x3 does.  For each x1 <= x2 with x1 + x2 != n, the
+    pair x3 <= x4 sums to t = kn - x1 - x2 for k = 1, 2 or 3, and x3 ranges
+    over [max(x2, t - n + 1), t // 2]; n - x1 and n - x2 are then taken out.
+    """
+    count = 0
+    for x1 in range(1, n):
+        for x2 in range(x1, n):
+            s = x1 + x2
+            if s == n:
+                continue
+            for t in (n - s, 2 * n - s, 3 * n - s):
+                lo, hi = max(x2, t - n + 1), t // 2
+                if lo <= hi:
+                    count += hi - lo + 1 - sum(lo <= x3 <= hi for x3 in {n - x1, n - x2})
+    return count
+
+
 def oracle_index(n: int, coeffs: tuple[int, ...]) -> tuple[Fraction, int]:
     """Full unit scan without early exit; returns (value, smallest witness)."""
     best_w = None

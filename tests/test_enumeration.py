@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import oracle_enumerate4, oracle_orbit_reps, totient
+from conftest import oracle_count_minimal4, oracle_enumerate4, oracle_orbit_reps, totient
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps, orbit_canonical
 from zsindex.zseq import Sequence, index, is_minimal_zero_sum, make_sequence, nu, scale, units
 
@@ -19,8 +19,13 @@ def test_frozen_counts(n, count):
 
 
 def test_matches_independent_multiset_oracle():
-    for n in range(3, 18):
+    for n in range(3, 41):
         assert [s.coeffs for s in iter_min_zero_sum4(n)] == oracle_enumerate4(n)
+
+
+def test_matches_the_independent_quadratic_count():
+    for n in range(3, 91):
+        assert sum(1 for _ in iter_min_zero_sum4(n)) == oracle_count_minimal4(n)
 
 
 def test_yield_order_is_strictly_lexicographic():
@@ -131,7 +136,7 @@ def _assert_orbit_reps_match_the_unit_scan(n):
     got = [(r.rep.coeffs, r.orbit_size) for r in iter_orbit_reps(n)]
     everything = [s.coeffs for s in iter_min_zero_sum4(n)]
     assert got == oracle_orbit_reps(n, everything)
-    assert sum(size for _, size in got) == len(everything)
+    assert sum(size for _, size in got) == len(everything) == oracle_count_minimal4(n)
     for coeffs, size in got:
         assert orbit_canonical(Sequence(n, coeffs)).orbit_size == size
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,20 @@ def test_minimality_examples():
     assert is_minimal_zero_sum(make_sequence(175, [5, 77, 133, 135]))
     assert not is_minimal_zero_sum(make_sequence(5, [1, 2, 3, 4]))
     assert is_minimal_zero_sum(make_sequence(5, [1, 1, 1, 2]))
+
+
+def test_pair_rule_matches_subset_oracle_on_every_zero_sum_4_tuple():
+    # Every ascending zero-sum 4-tuple of nonzero residues, minimal or not;
+    # the random draw below rarely lands on one.
+    tuples = 0
+    for n in range(3, 41):
+        for x1, x2, x3 in combinations_with_replacement(range(1, n), 3):
+            x4 = -(x1 + x2 + x3) % n
+            if x4 >= x3:
+                coeffs = (x1, x2, x3, x4)
+                assert is_minimal_zero_sum(Sequence(n, coeffs)) == oracle_minimal_zero_sum(n, coeffs)
+                tuples += 1
+    assert tuples == 29877
 
 
 @settings(max_examples=300)
