@@ -36,13 +36,13 @@ from .harness import (
     SAMPLE_INTERVAL,
     SEED,
     OracleDisagreement,
-    _fraction_json,
     find_counterexample,
     report_to_json,
+    result_json,
     select_moduli,
     verify_range,
 )
-from .zseq import IndexResult, Sequence, index, make_sequence
+from .zseq import index, make_sequence
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -65,15 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="exact index of one sequence")
     p_index.add_argument("--n", type=int, required=True)
     p_index.add_argument("--seq", type=_parse_seq, required=True, metavar="a,b,c,d")
+    p_index.set_defaults(run=_cmd_index)
 
     p_witness = sub.add_parser("witness", help="certificate for one sequence")
     p_witness.add_argument("--n", type=int, required=True)
     p_witness.add_argument("--seq", type=_parse_seq, required=True, metavar="a,b,c,d")
     p_witness.add_argument("--explain", action="store_true", help="include the pipeline trace")
+    p_witness.set_defaults(run=_cmd_witness)
 
     p_enum = sub.add_parser("enumerate", help="list minimal zero-sum length-4 sequences")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--orbits", action="store_true", help="one orbit representative per line")
+    p_enum.set_defaults(run=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="verify a range of moduli")
     p_verify.add_argument("--from", dest="from_n", type=int, required=True, metavar="A")
@@ -84,23 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=MODES, default="full")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="J")
     p_verify.add_argument("--out", type=str, default=None, metavar="FILE")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_cex = sub.add_parser("counterexample", help="first index >= 2 sequence for one modulus")
     p_cex.add_argument("--n", type=int, required=True)
+    p_cex.set_defaults(run=_cmd_counterexample)
 
     return parser
 
 
-def _print_index_result(seq: Sequence, result: IndexResult) -> None:
-    value = _fraction_json(result.value)
-    print(
-        json.dumps({"n": seq.n, "seq": list(seq.coeffs), "value": value, "witness": result.witness})
-    )
-
-
 def _cmd_index(args: argparse.Namespace) -> int:
     seq = make_sequence(args.n, args.seq)
-    _print_index_result(seq, index(seq))
+    print(json.dumps({"n": seq.n, **result_json(seq, index(seq))}))
     return 0
 
 
@@ -135,12 +133,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 3 <= args.from_n <= args.to_n:
-        parser.error(f"need 3 <= --from <= --to, got {args.from_n}..{args.to_n}")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+def _cmd_verify(args: argparse.Namespace) -> int:
     filter_name = args.filter.replace("-", "_")
+    # Checks the input before the manifest is printed or --out is opened.
+    reports = verify_range(args.from_n, args.to_n, filter_name, args.mode, jobs=args.jobs)
     manifest = {
         "manifest": {
             "version": __version__,
@@ -162,9 +158,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     counterexamples = 0
     try:
         print(json.dumps(manifest, separators=(", ", ": ")), file=out)
-        for report in verify_range(
-            args.from_n, args.to_n, filter_name, args.mode, jobs=args.jobs
-        ):
+        for report in reports:
             print(report_to_json(report), file=out, flush=True)
             moduli += 1
             sequences += report.sequences_checked
@@ -193,31 +187,20 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if hit is None:
         print("none")
         return 0
-    _print_index_result(*hit)
+    print(json.dumps({"n": args.n, **result_json(hit.sequence, hit.result)}))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "index":
-            return _cmd_index(args)
-        if args.command == "witness":
-            return _cmd_witness(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleDisagreement as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entrypoint() -> None:

@@ -19,7 +19,6 @@ import random
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .certify import BRUTE_FORCE, Certificate, CounterexampleReport, find_certificate
@@ -34,13 +33,13 @@ __all__ = [
     "find_counterexample",
     "in_constructive_domain",
     "report_to_json",
+    "result_json",
     "select_moduli",
     "verify_modulus",
     "verify_range",
 ]
 
 MODES = ("full", "orbits")
-FILTERS = ("coprime6", "two_prime_powers", "all")
 
 SAMPLE_INTERVAL = 100
 SEED = 0
@@ -57,13 +56,16 @@ class OracleDisagreement(RuntimeError):
 
 @dataclass
 class VerificationReport:
+    """What verify_modulus found on one modulus.  `counterexamples` holds the
+    pipeline's own CounterexampleReports, in enumeration order."""
+
     n: int
     mode: str
     sequences_checked: int
     orbits_checked: int
     derivation_histogram: dict[str, int]
     pipeline_gaps: int
-    counterexamples: list[tuple[Sequence, IndexResult]]
+    counterexamples: list[CounterexampleReport]
 
 
 def _distinct_prime_factors(n: int) -> int:
@@ -91,14 +93,12 @@ def _is_unit_leading(seq: Sequence) -> bool:
     return any(math.gcd(x, seq.n) == 1 for x in seq.coeffs)
 
 
-def _passes_filter(n: int, filter_name: str) -> bool:
-    if filter_name == "coprime6":
-        return math.gcd(n, 6) == 1
-    if filter_name == "two_prime_powers":
-        return in_constructive_domain(n)
-    if filter_name == "all":
-        return True
-    raise ValueError(f"unknown filter {filter_name!r}, expected one of {FILTERS}")
+# Filter name -> which moduli a verification run keeps.
+FILTERS = {
+    "coprime6": lambda n: math.gcd(n, 6) == 1,
+    "two_prime_powers": in_constructive_domain,
+    "all": lambda n: True,
+}
 
 
 def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
@@ -128,7 +128,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rng = random.Random(f"{SEED}:{n}")
     histogram: dict[str, int] = {}
-    counterexamples: list[tuple[Sequence, IndexResult]] = []
+    counterexamples: list[CounterexampleReport] = []
     gaps = 0
     sequences_checked = 0
     orbits_checked = 0
@@ -146,7 +146,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
             if outcome.derivation == BRUTE_FORCE and domain and _is_unit_leading(seq):
                 gaps += 1
         else:
-            counterexamples.append((seq, outcome.result))
+            counterexamples.append(outcome)
         if rng.randrange(SAMPLE_INTERVAL) == 0:
             drawn = True
             _cross_check(seq, outcome)
@@ -181,19 +181,27 @@ def verify_range(
     *,
     jobs: int = 1,
 ) -> Iterator[VerificationReport]:
-    """Yield one report per qualifying modulus in [from_n, to_n], in ascending n order.
+    """An iterator of one report per qualifying modulus in [from_n, to_n], in ascending n order.
 
-    Moduli are independent work units; with jobs > 1 they are verified in a
-    process pool of `_worker_count` processes, but emission order stays
-    ascending regardless of completion order.
+    The input is checked here, at the call: a bad range or filter (see
+    select_moduli) or jobs < 1 raises ValueError before any modulus is
+    verified.  Moduli are independent work units; with jobs > 1 they are
+    verified in a process pool of `_worker_count` processes, started on
+    the first draw, but emission order stays ascending regardless of
+    completion order.
     """
     moduli = select_moduli(from_n, to_n, filter_name)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     worker = partial(verify_modulus, mode=mode)
     workers = _worker_count(jobs, len(moduli))
     if workers <= 1:
-        for n in moduli:
-            yield worker(n)
-        return
+        return map(worker, moduli)
+    return _pooled(worker, moduli, workers)
+
+
+def _pooled(worker, moduli: list[int], workers: int) -> Iterator[VerificationReport]:
+    """verify_range's pool: started on the first draw, shut down once drained or closed."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, moduli)
 
@@ -202,7 +210,9 @@ def select_moduli(from_n: int, to_n: int, filter_name: str = "coprime6") -> list
     """The moduli in [from_n, to_n] that pass the filter, ascending: verify_range's work list."""
     if not 3 <= from_n <= to_n:
         raise ValueError(f"need 3 <= from <= to, got from={from_n} to={to_n}")
-    return [n for n in range(from_n, to_n + 1) if _passes_filter(n, filter_name)]
+    if filter_name not in FILTERS:
+        raise ValueError(f"unknown filter {filter_name!r}, expected one of {tuple(FILTERS)}")
+    return [n for n in range(from_n, to_n + 1) if FILTERS[filter_name](n)]
 
 
 def _worker_count(jobs: int, moduli: int) -> int:
@@ -211,8 +221,9 @@ def _worker_count(jobs: int, moduli: int) -> int:
     return min(jobs, moduli, os.cpu_count() or 1)
 
 
-def find_counterexample(n: int) -> tuple[Sequence, IndexResult] | None:
-    """First (lexicographic) minimal zero-sum length-4 sequence with index >= 2, if any.
+def find_counterexample(n: int) -> CounterexampleReport | None:
+    """The first (lexicographic) minimal zero-sum length-4 sequence with index >= 2,
+    with its index, or None if there is none.
 
     Uses the brute-force index directly; the certificate pipeline is not
     consulted, so this is an independent oracle scan.
@@ -220,12 +231,19 @@ def find_counterexample(n: int) -> tuple[Sequence, IndexResult] | None:
     for seq in iter_min_zero_sum4(n):
         result = index(seq)
         if result.value > 1:
-            return seq, result
+            return CounterexampleReport(seq, result)
     return None
 
 
-def _fraction_json(value: Fraction) -> int | str:
-    return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+def result_json(seq: Sequence, result: IndexResult) -> dict:
+    """The JSON fields of an index result: "seq", "value" (an int, or "p/q"
+    if fractional) and "witness"."""
+    value = result.value
+    return {
+        "seq": list(seq.coeffs),
+        "value": int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}",
+        "witness": result.witness,
+    }
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -237,9 +255,6 @@ def report_to_json(report: VerificationReport) -> str:
         "orbits_checked": report.orbits_checked,
         "derivation_histogram": dict(sorted(report.derivation_histogram.items())),
         "pipeline_gaps": report.pipeline_gaps,
-        "counterexamples": [
-            {"seq": list(seq.coeffs), "value": _fraction_json(res.value), "witness": res.witness}
-            for seq, res in report.counterexamples
-        ],
+        "counterexamples": [result_json(c.sequence, c.result) for c in report.counterexamples],
     }
     return json.dumps(payload, separators=(", ", ": "))

@@ -133,7 +133,7 @@ def test_criterion_5_contrast_family():
     ok = hit is not None
     detail = ""
     if ok:
-        seq, result = hit
+        seq, result = hit.sequence, hit.result
         ok = seq.coeffs == (1, 3, 4, 4) and result.value == 2 and result.value >= 2
         detail = f"n=6 sequence {seq.coeffs} has brute-force index {result.value}"
     _criterion(5, "a gcd(n,6)>1 modulus below 30 exhibits an index >= 2 sequence", ok, detail)

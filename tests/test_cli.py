@@ -126,10 +126,16 @@ def test_verify_stdout_and_filter_spelling(capsys):
     assert json.loads(lines[1])["n"] == 25
 
 
-def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--from", "2", "--to", "10"])
-    assert err.value.code == 2
+def test_usage_errors_exit_two(tmp_path, capsys):
+    code, out = run(capsys, ["verify", "--from", "2", "--to", "10"])
+    assert (code, out) == (2, "")
+    # A bad --jobs is caught before the manifest is printed or --out is opened.
+    out_file = tmp_path / "reports.jsonl"
+    out_file.write_bytes(b"earlier run\n")
+    argv = ["verify", "--from", "5", "--to", "7", "--jobs", "0", "--out", str(out_file)]
+    code, out = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert out_file.read_bytes() == b"earlier run\n"
     with pytest.raises(SystemExit) as err:
         main(["index", "--n", "10", "--seq", "1,2,x"])
     assert err.value.code == 2

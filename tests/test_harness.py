@@ -27,9 +27,9 @@ def test_verify_modulus_n5():
 def test_verify_modulus_n8_finds_counterexamples():
     report = verify_modulus(8, "full")
     assert report.sequences_checked == 18
-    coeffs = [seq.coeffs for seq, _ in report.counterexamples]
+    coeffs = [hit.sequence.coeffs for hit in report.counterexamples]
     assert coeffs == [(1, 4, 5, 6), (2, 3, 4, 7)]
-    assert all(res.value == 2 for _, res in report.counterexamples)
+    assert all(hit.result.value == 2 for hit in report.counterexamples)
 
 
 def test_verify_modulus_orbit_mode_matches_full_counts():
@@ -88,12 +88,16 @@ def test_verify_range_filters_and_order():
 
 
 def test_verify_range_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        list(verify_range(2, 10))
-    with pytest.raises(ValueError):
-        list(verify_range(10, 5))
-    with pytest.raises(ValueError):
-        list(verify_range(5, 10, "bogus"))
+    # No list(): the check runs when verify_range is called, not when drawn from.
+    with pytest.raises(ValueError, match="need 3 <= from <= to"):
+        verify_range(2, 10)
+    with pytest.raises(ValueError, match="need 3 <= from <= to"):
+        verify_range(10, 5)
+    with pytest.raises(ValueError, match="unknown filter 'bogus'"):
+        verify_range(5, 10, "bogus")
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            verify_range(5, 10, jobs=jobs)
 
 
 def test_verify_range_parallel_equals_serial():
@@ -149,9 +153,8 @@ def test_find_counterexample_examples():
     assert find_counterexample(35) is None
     hit = find_counterexample(6)
     assert hit is not None
-    seq, result = hit
-    assert seq.coeffs == (1, 3, 4, 4)
-    assert result.value == 2
+    assert hit.sequence.coeffs == (1, 3, 4, 4)
+    assert hit.result.value == 2
 
 
 def test_constructive_domain_predicate():
