@@ -64,11 +64,6 @@ MAJORITY_SMALL = "majority_small"
 LIFTED = "lifted"
 BRUTE_FORCE = "brute_force"
 
-DERIVATIONS = frozenset(
-    {FORCED, SMALL_A, INTERVAL, HALF_INTERVAL, MAJORITY_SMALL, LIFTED, BRUTE_FORCE}
-)
-
-
 class CertificateMiss(Exception):
     """A constructive search that is expected to succeed found nothing."""
 
@@ -378,6 +373,9 @@ _STAGES = (
     (LIFTED, _lifted_stage),
     (BRUTE_FORCE, _brute_force_stage),
 )
+
+# The derivation tags a Certificate may carry: the stage table's names.
+DERIVATIONS = frozenset(name for name, _ in _STAGES)
 
 
 def _classify_line(out: ReductionOutcome) -> str:

@@ -39,7 +39,11 @@ __all__ = [
     "verify_range",
 ]
 
-MODES = ("full", "orbits")
+# Mode name -> the (sequence, sequences, orbits) stream verify_modulus checks.
+MODES = {
+    "full": lambda n: ((seq, 1, 0) for seq in iter_min_zero_sum4(n)),
+    "orbits": lambda n: ((orbit.rep, orbit.orbit_size, 1) for orbit in iter_orbit_reps(n)),
+}
 
 SAMPLE_INTERVAL = 100
 SEED = 0
@@ -89,10 +93,6 @@ def in_constructive_domain(n: int) -> bool:
     return math.gcd(n, 6) == 1 and _distinct_prime_factors(n) <= 2
 
 
-def _is_unit_leading(seq: Sequence) -> bool:
-    return any(math.gcd(x, seq.n) == 1 for x in seq.coeffs)
-
-
 # Filter name -> which moduli a verification run keeps.
 FILTERS = {
     "coprime6": lambda n: math.gcd(n, 6) == 1,
@@ -102,7 +102,7 @@ FILTERS = {
 
 
 def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
-    """Verify one modulus.
+    """Verify one modulus, in one of the modes of MODES.
 
     full:   run find_certificate on every minimal zero-sum length-4 sequence.
     orbits: run it on one representative per unit orbit (index is constant
@@ -118,14 +118,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     the sequences are the enumerator's own, so either means the pipeline
     failed, not the input.
     """
-    if mode == "full":
-        stream = ((seq, 1) for seq in iter_min_zero_sum4(n))
-        orbit_step = 0
-    elif mode == "orbits":
-        stream = ((orbit.rep, orbit.orbit_size) for orbit in iter_orbit_reps(n))
-        orbit_step = 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    stream = _lookup(MODES, "mode", mode)(n)
     rng = random.Random(f"{SEED}:{n}")
     histogram: dict[str, int] = {}
     counterexamples: list[CounterexampleReport] = []
@@ -134,17 +127,17 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     orbits_checked = 0
     domain = in_constructive_domain(n)
     drawn = False
-    for seq, count in stream:
-        sequences_checked += count
-        orbits_checked += orbit_step
+    for seq, sequences, orbits in stream:
+        sequences_checked += sequences
+        orbits_checked += orbits
         try:
             outcome = find_certificate(seq)
         except ValueError as exc:
             raise OracleDisagreement(f"certificate pipeline failed: {exc}") from exc
         if isinstance(outcome, Certificate):
             histogram[outcome.derivation] = histogram.get(outcome.derivation, 0) + 1
-            if outcome.derivation == BRUTE_FORCE and domain and _is_unit_leading(seq):
-                gaps += 1
+            if outcome.derivation == BRUTE_FORCE and domain:
+                gaps += any(math.gcd(x, n) == 1 for x in seq.coeffs)  # unit-leading
         else:
             counterexamples.append(outcome)
         if rng.randrange(SAMPLE_INTERVAL) == 0:
@@ -184,13 +177,14 @@ def verify_range(
     """An iterator of one report per qualifying modulus in [from_n, to_n], in ascending n order.
 
     The input is checked here, at the call: a bad range or filter (see
-    select_moduli) or jobs < 1 raises ValueError before any modulus is
-    verified.  Moduli are independent work units; with jobs > 1 they are
-    verified in a process pool of `_worker_count` processes, started on
-    the first draw, but emission order stays ascending regardless of
-    completion order.
+    select_moduli), an unknown mode or jobs < 1 raises ValueError before
+    any modulus is verified.  Moduli are independent work units; with
+    jobs > 1 they are verified in a process pool of `_worker_count`
+    processes, started on the first draw, but emission order stays
+    ascending regardless of completion order.
     """
     moduli = select_moduli(from_n, to_n, filter_name)
+    _lookup(MODES, "mode", mode)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     worker = partial(verify_modulus, mode=mode)
@@ -210,9 +204,15 @@ def select_moduli(from_n: int, to_n: int, filter_name: str = "coprime6") -> list
     """The moduli in [from_n, to_n] that pass the filter, ascending: verify_range's work list."""
     if not 3 <= from_n <= to_n:
         raise ValueError(f"need 3 <= from <= to, got from={from_n} to={to_n}")
-    if filter_name not in FILTERS:
-        raise ValueError(f"unknown filter {filter_name!r}, expected one of {tuple(FILTERS)}")
-    return [n for n in range(from_n, to_n + 1) if FILTERS[filter_name](n)]
+    keep = _lookup(FILTERS, "filter", filter_name)
+    return [n for n in range(from_n, to_n + 1) if keep(n)]
+
+
+def _lookup(table: dict, kind: str, name: str):
+    """table[name], or ValueError naming the known names of this kind."""
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}, expected one of {tuple(table)}")
+    return table[name]
 
 
 def _worker_count(jobs: int, moduli: int) -> int:

@@ -31,13 +31,14 @@ class SubgroupReduction:
 
 
 def try_subgroup_reduce(seq: Sequence) -> SubgroupReduction | None:
-    """Reduce by d = gcd(all coefficients, n) when d > 1 and n/d >= 3."""
+    """Reduce by d = gcd(all coefficients, n) when d > 1.  Minimality gives n/d >= 3:
+    n/d = 2 would make every pair sum to zero, n/d = 1 every coefficient 0."""
     _require_minimal4(seq)
     n = seq.n
     d = n
     for x in seq.coeffs:
         d = math.gcd(d, x)
-    if d <= 1 or n // d < 3:
+    if d <= 1:
         return None
     reduced = Sequence(n // d, tuple(x // d for x in seq.coeffs))
     return SubgroupReduction(d=d, reduced=reduced, original=seq)

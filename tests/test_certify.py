@@ -48,6 +48,13 @@ def test_make_certificate_rejects_non_witnesses():
         make_certificate(make_sequence(175, [5, 77, 133, 135]), 2, FORCED)
 
 
+def test_certificate_tags_are_the_stage_names():
+    with pytest.raises(ValueError, match="unknown derivation tag 'bogus'"):
+        Certificate(m=1, derivation="bogus")
+    for name, _ in certify._STAGES:
+        assert Certificate(m=1, derivation=name).derivation == name
+
+
 @pytest.mark.parametrize(
     "nf, s, k1",
     [

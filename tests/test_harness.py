@@ -42,8 +42,9 @@ def test_verify_modulus_orbit_mode_matches_full_counts():
 
 
 def test_verify_modulus_rejects_unknown_modes():
-    assert harness.MODES == ("full", "orbits")
-    with pytest.raises(ValueError):
+    assert tuple(harness.MODES) == ("full", "orbits")
+    expected = r"unknown mode 'sample', expected one of \('full', 'orbits'\)"
+    with pytest.raises(ValueError, match=expected):
         verify_modulus(25, "sample")
 
 
@@ -98,6 +99,8 @@ def test_verify_range_rejects_bad_bounds():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             verify_range(5, 10, jobs=jobs)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        verify_range(5, 10, mode="bogus")
 
 
 def test_verify_range_parallel_equals_serial():

@@ -24,9 +24,9 @@ def test_reduce_examples():
 
 
 def test_degenerate_subgroup_cannot_occur():
-    # A reduction to modulus < 3 would need all coefficients equal to n/2,
-    # but then any pair already sums to zero, so no minimal sequence ever
-    # reaches the n/d >= 3 guard; every actual reduction lands on n/d >= 3.
+    # A reduction to modulus 2 would need all coefficients equal to n/2, but
+    # then any pair already sums to zero, and modulus 1 would need them all 0;
+    # so every reduction of a minimal sequence lands on n/d >= 3 unguarded.
     for n in (4, 6, 8, 10, 12):
         assert not is_minimal_zero_sum(Sequence(n, (n // 2,) * 4))
     for n in range(6, 41):
