@@ -11,9 +11,9 @@ Exit codes:
   0  success; for verify and witness, no counterexample
   1  verify or witness found a counterexample (a sequence with index >= 2)
   2  usage error or invalid input
-  3  internal failure: on verify's own enumerated sequences the certificate
-     pipeline and the brute-force oracle disagreed, or the pipeline failed
-     its own certificate check, so the run's results cannot be trusted
+  3  internal failure, any other exception (traceback on stderr): e.g. the
+     pipeline and the brute-force oracle disagreed on verify's own sequences,
+     the pipeline failed its certificate check, or a --jobs pool worker died
 
 verify writes each report line as soon as its modulus is done (flushed,
 also with --out) and a progress note per modulus to stderr, with an ETA
@@ -23,9 +23,11 @@ that assumes each remaining modulus costs in proportion to n^3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+import traceback
 
 from . import __version__
 from .certify import Certificate, find_certificate
@@ -35,7 +37,6 @@ from .harness import (
     MODES,
     SAMPLE_INTERVAL,
     SEED,
-    OracleDisagreement,
     find_counterexample,
     report_to_json,
     result_json,
@@ -151,13 +152,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Enumeration costs O(n^3) per modulus, so cubes weigh the work left.
     work_left = sum(n**3 for n in select_moduli(args.from_n, args.to_n, filter_name))
     work_done = 0
-    out = open(args.out, "w") if args.out else sys.stdout
     t0 = time.perf_counter()
     moduli = 0
     sequences = 0
     counterexamples = 0
-    try:
-        print(json.dumps(manifest, separators=(", ", ": ")), file=out)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        print(json.dumps(manifest), file=out)
         for report in reports:
             print(report_to_json(report), file=out, flush=True)
             moduli += 1
@@ -171,9 +171,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f" {elapsed:.1f}s elapsed, ETA {elapsed * work_left / work_done:.1f}s",
                 file=sys.stderr,
             )
-    finally:
-        if args.out:
-            out.close()
     print(
         f"verified {moduli} moduli, {sequences} sequences, "
         f"{counterexamples} counterexamples in {time.perf_counter() - t0:.2f}s",
@@ -198,8 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OracleDisagreement as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

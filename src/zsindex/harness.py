@@ -17,7 +17,6 @@ import math
 import os
 import random
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -196,6 +195,7 @@ def verify_range(
 
 def _pooled(worker, moduli: list[int], workers: int) -> Iterator[VerificationReport]:
     """verify_range's pool: started on the first draw, shut down once drained or closed."""
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, moduli)
 
@@ -257,4 +257,4 @@ def report_to_json(report: VerificationReport) -> str:
         "pipeline_gaps": report.pipeline_gaps,
         "counterexamples": [result_json(c.sequence, c.result) for c in report.counterexamples],
     }
-    return json.dumps(payload, separators=(", ", ": "))
+    return json.dumps(payload)

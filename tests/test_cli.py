@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zsindex import certify, harness
+from zsindex import certify, cli, harness
 from zsindex.cli import main
 from zsindex.zseq import IndexResult
 
@@ -174,6 +174,31 @@ def test_verify_exits_three_when_the_pipeline_fails_its_certificate_check(
     assert "internal error:" in capsys.readouterr().err
     # Invalid user input to witness stays a usage error.
     assert main(["witness", "--n", "7", "--seq", "1,6,1,6"]) == 2
+
+
+def test_any_other_exception_exits_three_not_one(monkeypatch, tmp_path, capsys):
+    real = harness.find_certificate
+
+    def failing_from_11(seq, *args, **kwargs):
+        if seq.n >= 11:
+            raise RuntimeError("worker lost")
+        return real(seq, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "find_certificate", failing_from_11)
+    out_file = tmp_path / "reports.jsonl"
+    argv = ["verify", "--from", "5", "--to", "13", "--jobs", "1", "--out", str(out_file)]
+    assert main(argv) == 3
+    assert "internal error: RuntimeError: worker lost" in capsys.readouterr().err
+    lines = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert "manifest" in lines[0]
+    assert [line["n"] for line in lines[1:]] == [5, 7]
+
+    def broken(seq, trace=None):
+        raise AssertionError("unreachable stage")
+
+    monkeypatch.setattr(cli, "find_certificate", broken)
+    assert main(["witness", "--n", "7", "--seq", "1,1,2,3"]) == 3
+    assert "internal error: AssertionError" in capsys.readouterr().err
 
 
 # The verify reports the benchmark pins: "--from A --to B --filter coprime6

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import random
@@ -123,7 +124,7 @@ def test_verify_range_starts_no_pool_for_one_worker(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     reports = list(verify_range(5, 13, "coprime6", "full", jobs=5000))
     assert [r.n for r in reports] == [5, 7, 11, 13]
 
