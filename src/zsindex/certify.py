@@ -409,15 +409,21 @@ def find_certificate(
     half-interval and majority-small searches (each finished through
     `finalize`), then subgroup reduction with witness lifting, and finally
     the brute-force scan.  The first stage that decides wins.  A
-    counterexample is a value, not an error.  With `trace`, one line is
-    appended for the classification and one per stage attempted, each
-    prefixed with the stage name.
+    counterexample is a value, not an error.  ValueError means classify
+    rejected seq as bad input; once seq is accepted, a stage's ValueError
+    is the pipeline's fault, raised as AssertionError naming the stage.
+    With `trace`, one line is appended for the classification and one per
+    stage attempted, each prefixed with the stage name.
     """
     out = classify(seq)
     if trace is not None:
         trace.append(_classify_line(out))
     for name, stage in _STAGES:
-        step = stage(seq, out)
+        try:
+            step = stage(seq, out)
+        except ValueError as exc:
+            failure = f"{name} stage failed on {seq.coeffs} over {seq.n}: {exc}"
+            raise AssertionError(failure) from exc
         if step is None:
             continue
         verdict, note = step

@@ -10,10 +10,10 @@ Subcommands:
 Exit codes:
   0  success; for verify and witness, no counterexample
   1  verify or witness found a counterexample (a sequence with index >= 2)
-  2  usage error or invalid input
-  3  internal failure, any other exception (traceback on stderr): e.g. the
-     pipeline and the brute-force oracle disagreed on verify's own sequences,
-     the pipeline failed its certificate check, or a --jobs pool worker died
+  2  usage error, or input rejected by a boundary check
+  3  internal failure, any other exception (traceback on stderr): e.g. a
+     failed certificate check in verify or witness, a pipeline/oracle
+     disagreement on verify's own sequences, or a dead --jobs pool worker
 
 verify writes each report line as soon as its modulus is done (flushed,
 also with --out) and a progress note per modulus to stderr, with an ETA

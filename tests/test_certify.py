@@ -313,6 +313,22 @@ def test_find_certificate_rejects_non_minimal_and_non_length_4(n, coeffs):
         find_certificate(make_sequence(n, coeffs))
 
 
+def test_a_failing_stage_is_an_internal_error_not_bad_input(monkeypatch):
+    # classify accepts the sequence, so a stage's ValueError is the pipeline's fault.
+    monkeypatch.setattr(certify, "search_interval", lambda nf: (1, 2))
+    failure = r"^interval stage failed on \(1, 11, 18, 20\) over 25: multiplier 2"
+    with pytest.raises(AssertionError, match=failure):
+        find_certificate(make_sequence(25, [1, 11, 18, 20]))
+    # The lifted stage's recursive call fails the same way, and its
+    # AssertionError passes through unwrapped.
+    with pytest.raises(AssertionError, match=failure):
+        find_certificate(make_sequence(50, [2, 22, 36, 40]))
+    # Bad input is still classify's ValueError under the same patch.
+    for n, coeffs in [(7, [1, 6, 1, 6]), (7, [1, 2, 4])]:
+        with pytest.raises(ValueError):
+            find_certificate(make_sequence(n, coeffs))
+
+
 def test_pipeline_checks_each_sequence_once(monkeypatch):
     """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked once per
     classify call plus once per subgroup reduction, each find_certificate

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +173,11 @@ def test_verify_exits_three_when_the_pipeline_fails_its_certificate_check(
     code = main(["verify", "--from", "5", "--to", "13", "--jobs", "1"])
     assert code == 3
     assert "internal error:" in capsys.readouterr().err
+    # witness takes the same path: its input is valid, so the pipeline is at fault.
+    assert main(["witness", "--n", "25", "--seq", "1,11,18,20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: AssertionError: interval stage failed" in captured.err
     # Invalid user input to witness stays a usage error.
     assert main(["witness", "--n", "7", "--seq", "1,6,1,6"]) == 2
 
@@ -199,6 +205,14 @@ def test_any_other_exception_exits_three_not_one(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "find_certificate", broken)
     assert main(["witness", "--n", "7", "--seq", "1,1,2,3"]) == 3
     assert "internal error: AssertionError" in capsys.readouterr().err
+
+
+def test_console_script_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["zsindex", "witness", "--n", "25", "--seq", "1,11,18,20"])
+    with pytest.raises(SystemExit) as err:
+        cli.entrypoint()
+    assert err.value.code == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["derivation"] == "interval"
 
 
 # The verify reports the benchmark pins: "--from A --to B --filter coprime6

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zsindex import harness
+from zsindex import certify, harness
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.harness import (
     find_counterexample,
@@ -40,6 +40,13 @@ def test_verify_modulus_orbit_mode_matches_full_counts():
         assert orbits.sequences_checked == full.sequences_checked
         assert orbits.orbits_checked > 0
         assert bool(orbits.counterexamples) == bool(full.counterexamples)
+
+
+def test_a_failing_stage_raises_assertion_error_not_oracle_disagreement(monkeypatch):
+    monkeypatch.setattr(certify, "search_interval", lambda nf: (1, 2))
+    # AssertionError, not OracleDisagreement: the oracle was never asked.
+    with pytest.raises(AssertionError, match="interval stage failed"):
+        verify_modulus(25)
 
 
 def test_verify_modulus_rejects_unknown_modes():
