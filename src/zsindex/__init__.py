@@ -21,7 +21,7 @@ from .zseq import (
     units,
     weight,
 )
-from .enumeration import OrbitRep, iter_min_zero_sum4, iter_orbit_reps, orbit_canonical
+from .enumeration import OrbitRep, iter_min_zero_sum4, iter_orbit_reps
 from .normalform import NormalForm, ReductionOutcome, classify, normal_form_sequence
 from .certify import (
     Certificate,
@@ -73,7 +73,6 @@ __all__ = [
     "make_sequence",
     "normal_form_sequence",
     "nu",
-    "orbit_canonical",
     "report_to_json",
     "scale",
     "search_half_interval",

@@ -14,6 +14,7 @@ Exit codes:
   3  internal failure, any other exception (traceback on stderr): e.g. a
      failed certificate check in verify or witness, a pipeline/oracle
      disagreement on verify's own sequences, or a dead --jobs pool worker
+  141  stdout was closed early (128 + SIGPIPE): unchecked, so not one of 0 to 3
 
 verify writes each report line as soon as its modulus is done (flushed,
 also with --out) and a progress note per modulus to stderr, with an ETA
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -191,7 +193,13 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        with contextlib.suppress(AttributeError, ValueError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())  # in-process stdouts have no fileno()
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,9 @@ must stay simple enough to audit by eye.
 Unit orbits follow one candidate rule.  The lex-least member of an orbit
 starts with d = min gcd(x_i, n), and only the candidate units, those
 m = (x/d)^-1 (mod n/d) that send a coefficient x of gcd d to d, can give a
-copy that starts with d.  Orbit representatives are filtered out of the
-enumerated stream: a sequence whose first coefficient is not that d is
-dropped in O(1), and the rest are tested against their candidates only.
+copy that starts with d.  iter_orbit_reps filters the enumerated stream:
+a sequence whose first coefficient is not that d is dropped in O(1), and
+the rest are tested against their candidates only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .zseq import Sequence, check_modulus, units
 
-__all__ = ["OrbitRep", "iter_min_zero_sum4", "iter_orbit_reps", "orbit_canonical"]
+__all__ = ["OrbitRep", "iter_min_zero_sum4", "iter_orbit_reps"]
 
 
 @dataclass(frozen=True)
@@ -54,26 +54,6 @@ def iter_min_zero_sum4(n: int) -> Iterator[Sequence]:
                 # and x1 + x4 vanishes iff x2 + x3 does; x4 >= x3 rules out x4 = 0.
                 if x4 >= x3 and x1 + x3 != n and x2 + x3 != n:
                     yield Sequence(n, (x1, x2, x3, x4))
-
-
-def orbit_canonical(seq: Sequence) -> OrbitRep:
-    """Canonical representative of the unit orbit of a length-4 sequence.
-
-    The representative is the lexicographically least sorted coefficient
-    tuple among all unit-scaled copies; orbit_size counts the distinct
-    copies (it always divides phi(n)).  Both come from the candidate units
-    alone: the least copy starts with d = min gcd(x_i, n), every copy that
-    starts with d is the image under a candidate, and every unit that fixes
-    the representative is one of its candidates, so orbit_size =
-    phi(n) / |stabiliser|.
-    """
-    if len(seq.coeffs) != 4:
-        raise ValueError("orbit_canonical expects a length-4 sequence")
-    n = seq.n
-    coeffs = seq.coeffs
-    d = min(math.gcd(x, n) for x in coeffs)
-    best = min(tuple(sorted((m * x) % n for x in coeffs)) for m in _candidates(coeffs, n, d))
-    return OrbitRep(Sequence(n, best), len(units(n)) // _stabiliser_size(best, n, d))
 
 
 def iter_orbit_reps(n: int) -> Iterator[OrbitRep]:
@@ -119,8 +99,8 @@ def _candidates(coeffs: tuple[int, ...], n: int, d: int) -> Iterator[int]:
 def _stabiliser_size(coeffs: tuple[int, ...], n: int, d: int) -> int:
     """Number of units that map coeffs to itself, or 0 if one maps it lower.
 
-    Only the _candidates are tried, which is enough when coeffs starts
-    with d = min gcd(x_i, n).
+    Only the _candidates are tried, which is enough because iter_orbit_reps
+    calls it only on coeffs that start with d = min gcd(x_i, n).
     """
     stabiliser = 0
     for m in _candidates(coeffs, n, d):

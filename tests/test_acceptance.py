@@ -111,8 +111,8 @@ def test_criterion_4_squarefree_two_prime_moduli():
     mixed_hits = []
     for n in moduli:
         p, q = sorted(factorize(n))
-        for seq in iter_min_zero_sum4(n):
-            if n in mixed_watch:
+        if n in mixed_watch:
+            for seq in iter_min_zero_sum4(n):
                 gcds = [math.gcd(x, n) for x in seq.coeffs]
                 if sorted(gcds) == [p, p, q, q]:
                     mixed_hits.append((n, seq.coeffs))

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -213,6 +215,47 @@ def test_console_script_exits_with_mains_code(monkeypatch, capsys):
         cli.entrypoint()
     assert err.value.code == 0
     assert json.loads(capsys.readouterr().out)["certificate"]["derivation"] == "interval"
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["verify", "--from", "5", "--to", "60", "--jobs", "1"], 100),
+        (["verify", "--from", "5", "--to", "60", "--jobs", "2"], 100),
+        (["enumerate", "--n", "60"], 10),
+        (["index", "--n", "7", "--seq", "1,1,2,3"], 0),  # closed before anything is written
+    ],
+)
+def test_a_closed_stdout_exits_141_not_as_bad_input(tmp_path, argv, read):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, so output can be left for the flush at exit
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zsindex.cli", *argv], stdout=writer, stderr=err, env=env
+        )
+        os.close(writer)
+        if read:
+            with open(reader, "rb") as out:
+                assert len(out.read(read)) == read
+        assert proc.wait(timeout=60) == 141
+        err.seek(0)
+        stderr = err.read()
+    for marker in ("error:", "Traceback", "Exception ignored"):
+        assert marker not in stderr
+
+
+def test_a_closed_stdout_in_process_leaves_stdout_alone(monkeypatch, capsys):
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", closed)
+    assert main(["enumerate", "--n", "5"]) == 141
+    assert capsys.readouterr() == ("", "")
+    print("still writable")
+    assert capsys.readouterr().out == "still writable\n"
 
 
 # The verify reports the benchmark pins: "--from A --to B --filter coprime6
