@@ -68,7 +68,7 @@ class CertificateMiss(Exception):
     """A constructive search that is expected to succeed found nothing."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """A unit multiplier m with weight n for the sequence it certifies.
 
@@ -86,7 +86,7 @@ class Certificate:
             raise ValueError(f"unknown derivation tag {self.derivation!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterexampleReport:
     """A minimal zero-sum sequence whose brute-force index is 2 or more."""
 
@@ -108,7 +108,7 @@ def make_certificate(seq: Sequence, m: int, derivation: str, k: int | None = Non
     return Certificate(m=m, derivation=derivation, k=k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShapeStats:
     """Shape statistics of a normal form: s = floor(b/a) and the interval index k1.
 

@@ -26,7 +26,7 @@ from .zseq import Sequence, check_modulus, units
 __all__ = ["OrbitRep", "iter_min_zero_sum4", "iter_orbit_reps"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitRep:
     """Lexicographically least member of a unit orbit and the orbit's size."""
 

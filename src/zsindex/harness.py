@@ -55,7 +55,7 @@ class OracleDisagreement(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """What verify_modulus found on one modulus.  `counterexamples` holds the
     pipeline's own CounterexampleReports, in enumeration order."""

@@ -52,7 +52,7 @@ TAG_NORMAL = "normal"
 TAG_OPAQUE = "opaque"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """The triple (a, b, c) with 1 + c = a + b and 1 < a <= b < c < n/2.
 
@@ -75,7 +75,7 @@ class NormalForm:
             raise ValueError(f"normal form needs c < n/2, got c={c} n={n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionOutcome:
     """Result of classifying a sequence.
 

@@ -21,7 +21,7 @@ from .zseq import Sequence
 __all__ = ["SubgroupReduction", "lift_witness", "try_subgroup_reduce"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupReduction:
     """A divisor d > 1 common to all coefficients and n, the reduced sequence and the original."""
 

@@ -47,7 +47,7 @@ def units(n: int) -> list[int]:
     return [m for m in range(1, n) if math.gcd(m, n) == 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
     """A multiset of nonzero residues modulo n, stored as an ascending tuple."""
 
@@ -56,6 +56,8 @@ class Sequence:
 
     def __post_init__(self) -> None:
         check_modulus(self.n)
+        if not isinstance(self.coeffs, tuple):
+            raise ValueError(f"coefficients must be a tuple, got {type(self.coeffs).__name__}")
         if not 1 <= len(self.coeffs) <= MAX_LEN:
             raise ValueError(f"sequence length must be in [1, {MAX_LEN}], got {len(self.coeffs)}")
         prev = 1
@@ -67,7 +69,7 @@ class Sequence:
             prev = x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexResult:
     """Minimal weight over all unit multipliers, as a fraction of n, with its witness.
 

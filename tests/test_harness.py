@@ -117,6 +117,15 @@ def test_verify_range_parallel_equals_serial():
     assert serial == parallel
 
 
+def test_counterexamples_cross_the_process_boundary():
+    # Over all moduli 5..21 the workers pickle CounterexampleReports back,
+    # each a Sequence and an IndexResult holding a Fraction.
+    serial = [report_to_json(r) for r in verify_range(5, 21, "all", "full", jobs=1)]
+    parallel = [report_to_json(r) for r in verify_range(5, 21, "all", "full", jobs=2)]
+    assert serial == parallel
+    assert sum(len(json.loads(line)["counterexamples"]) for line in serial) == 162
+
+
 def test_worker_count_is_capped_by_moduli_and_cores(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     assert harness._worker_count(5000, 39) == 4

@@ -71,6 +71,8 @@ def test_make_sequence_rejections():
         make_sequence(2, [1])
     with pytest.raises(ValueError):
         Sequence(10, (3, 1))  # not ascending
+    with pytest.raises(ValueError, match="must be a tuple"):
+        Sequence(7, [1, 1, 1, 4])  # a list would be unhashable and mutable
 
 
 def test_is_zero_sum_examples():
