@@ -1,11 +1,11 @@
 """Exhaustive generation of length-4 minimal zero-sum sequences, plus unit orbits.
 
-The enumerator iterates all ordered triples (x1, x2, x3), solves for the
-unique x4 and keeps the tuple when no pair through x1 sums to 0 mod n
-(zseq.is_minimal_zero_sum says why that is minimality), so it costs
-O(n^3/6) per modulus.  No cleverer sieve is used on purpose: this stream
-is the trusted ground truth that every verification mode builds on, and it
-must stay simple enough to audit by eye.
+For x1 <= x2 and x3 + x4 = nu*n - x1 - x2 (nu = 1, 2, 3) the enumerator
+walks only the x3 with x2 <= x3 <= x4 <= n - 1 and keeps the tuple when no
+pair through x1 sums to 0 mod n (zseq.is_minimal_zero_sum says why that
+is minimality), so nearly every step yields: about n^3/24 per modulus.  No
+other sieve is used on purpose: this stream is the trusted ground truth
+that every verification mode builds on, simple enough to audit by eye.
 
 Unit orbits follow one candidate rule.  The lex-least member of an orbit
 starts with d = min gcd(x_i, n), and only the candidate units, those
@@ -37,10 +37,10 @@ class OrbitRep:
 def iter_min_zero_sum4(n: int) -> Iterator[Sequence]:
     """Yield every minimal zero-sum length-4 sequence over Z_n exactly once.
 
-    Tuples come out in strictly increasing lexicographic order: for each
-    ascending (x1, x2, x3) the last coefficient is forced by the zero-sum
-    condition, and it is kept only when x4 >= x3 and no pair through x1
-    sums to 0 mod n, the minimality rule of zseq.is_minimal_zero_sum.
+    Tuples come out in strictly increasing lexicographic order: with x3 + x4
+    = r = nu*n - x1 - x2, the bounds x2 <= x3 <= x4 <= n - 1 say exactly
+    max(x2, r - n + 1) <= x3 <= r // 2, a range that rises with nu.  A tuple
+    is kept when no pair through x1 sums to 0 mod n (zseq.is_minimal_zero_sum).
     """
     check_modulus(n)
     for x1 in range(1, n):
@@ -48,12 +48,13 @@ def iter_min_zero_sum4(n: int) -> Iterator[Sequence]:
             s12 = x1 + x2
             if s12 == n:
                 continue
-            for x3 in range(x2, n):
-                x4 = -(s12 + x3) % n
-                # Terms lie in [1, n-1], so a pair vanishes iff it sums to n,
-                # and x1 + x4 vanishes iff x2 + x3 does; x4 >= x3 rules out x4 = 0.
-                if x4 >= x3 and x1 + x3 != n and x2 + x3 != n:
-                    yield Sequence(n, (x1, x2, x3, x4))
+            # Terms lie in [1, n-1], so a pair vanishes iff it sums to n, and
+            # x1 + x4 vanishes iff x2 + x3 does: x3 must avoid n - x1 and n - x2.
+            c1, c2 = n - x1, n - x2
+            for r in (n - s12, 2 * n - s12, 3 * n - s12):
+                for x3 in range(max(x2, r - n + 1), r // 2 + 1):
+                    if x3 != c1 and x3 != c2:
+                        yield Sequence(n, (x1, x2, x3, r - x3))
 
 
 def iter_orbit_reps(n: int) -> Iterator[OrbitRep]:
@@ -104,7 +105,7 @@ def _stabiliser_size(coeffs: tuple[int, ...], n: int, d: int) -> int:
     """
     stabiliser = 0
     for m in _candidates(coeffs, n, d):
-        image = tuple(sorted((m * y) % n for y in coeffs))
+        image = tuple(sorted([(m * y) % n for y in coeffs]))
         if image < coeffs:
             return 0
         if image == coeffs:

@@ -19,6 +19,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from .certify import BRUTE_FORCE, Certificate, CounterexampleReport, find_certificate
 from .enumeration import iter_min_zero_sum4, iter_orbit_reps
@@ -40,7 +41,7 @@ __all__ = [
 
 # Mode name -> the (sequence, sequences, orbits) stream verify_modulus checks.
 MODES = {
-    "full": lambda n: ((seq, 1, 0) for seq in iter_min_zero_sum4(n)),
+    "full": lambda n: zip(iter_min_zero_sum4(n), repeat(1), repeat(0)),
     "orbits": lambda n: ((orbit.rep, orbit.orbit_size, 1) for orbit in iter_orbit_reps(n)),
 }
 
@@ -105,7 +106,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     orbits: run it on one representative per unit orbit (index is constant
             on orbits).  This saves certificate work, up to phi(n) times
             less of it, but representatives are still filtered out of the
-            full O(n^3/6) enumeration, which bounds the mode's time.
+            full enumeration, which bounds the mode's time.
 
     In both modes a deterministic 1-in-K sample (seeded by n, K =
     SAMPLE_INTERVAL) of the processed sequences is cross-checked against

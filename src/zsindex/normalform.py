@@ -107,7 +107,7 @@ def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]
     for x in coeffs:
         if math.gcd(x, n) == 1:
             m = pow(x, -1, n)
-            return m, tuple(sorted(m * y % n for y in coeffs))
+            return m, tuple(sorted([m * y % n for y in coeffs]))
     return None
 
 

@@ -55,16 +55,18 @@ class Sequence:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_modulus(self.n)
-        if not isinstance(self.coeffs, tuple):
-            raise ValueError(f"coefficients must be a tuple, got {type(self.coeffs).__name__}")
-        if not 1 <= len(self.coeffs) <= MAX_LEN:
-            raise ValueError(f"sequence length must be in [1, {MAX_LEN}], got {len(self.coeffs)}")
+        n, coeffs = self.n, self.coeffs
+        if n < 3:
+            check_modulus(n)
+        if not isinstance(coeffs, tuple):
+            raise ValueError(f"coefficients must be a tuple, got {type(coeffs).__name__}")
+        if not 1 <= len(coeffs) <= MAX_LEN:
+            raise ValueError(f"sequence length must be in [1, {MAX_LEN}], got {len(coeffs)}")
         prev = 1
-        for x in self.coeffs:
-            if not 1 <= x <= self.n - 1:
-                raise ValueError(f"coefficient {x} outside [1, {self.n - 1}] for modulus {self.n}")
-            if x < prev:
+        for x in coeffs:
+            if not prev <= x < n:
+                if not 1 <= x < n:
+                    raise ValueError(f"coefficient {x} outside [1, {n - 1}] for modulus {n}")
                 raise ValueError("coefficients must be sorted ascending")
             prev = x
 

@@ -63,6 +63,24 @@ def oracle_enumerate4(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_enumerate_triples(n: int) -> list[tuple[int, ...]]:
+    """All minimal zero-sum ascending 4-tuples over Z_n, in lexicographic order:
+    every ascending (x1, x2, x3) with x4 solved from the zero sum, O(n^3/6)."""
+    out = []
+    for x1 in range(1, n):
+        for x2 in range(x1, n):
+            s12 = x1 + x2
+            if s12 == n:
+                continue
+            for x3 in range(x2, n):
+                x4 = -(s12 + x3) % n
+                # Terms lie in [1, n-1], so a pair vanishes iff it sums to n,
+                # and x1 + x4 vanishes iff x2 + x3 does; x4 >= x3 rules out x4 = 0.
+                if x4 >= x3 and x1 + x3 != n and x2 + x3 != n:
+                    out.append((x1, x2, x3, x4))
+    return out
+
+
 def oracle_count_minimal4(n: int) -> int:
     """Number of minimal zero-sum ascending 4-tuples over Z_n, counted in O(n^2).
 

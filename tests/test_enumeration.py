@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import oracle_count_minimal4, oracle_enumerate4, oracle_orbit_reps, totient
+from conftest import (
+    oracle_count_minimal4,
+    oracle_enumerate4,
+    oracle_enumerate_triples,
+    oracle_orbit_reps,
+    totient,
+)
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.zseq import Sequence, index, is_minimal_zero_sum, nu, scale, units
 
@@ -18,6 +24,11 @@ def test_frozen_counts(n, count):
 def test_matches_independent_multiset_oracle():
     for n in range(3, 41):
         assert [s.coeffs for s in iter_min_zero_sum4(n)] == oracle_enumerate4(n)
+
+
+@pytest.mark.parametrize("n", [*range(3, 81), 97, 121, 125])
+def test_matches_the_triple_filter_in_order(n):
+    assert [s.coeffs for s in iter_min_zero_sum4(n)] == oracle_enumerate_triples(n)
 
 
 def test_matches_the_independent_quadratic_count():

@@ -69,10 +69,25 @@ def test_make_sequence_rejections():
         make_sequence(10, [1] * 9)
     with pytest.raises(ValueError):
         make_sequence(2, [1])
-    with pytest.raises(ValueError):
-        Sequence(10, (3, 1))  # not ascending
     with pytest.raises(ValueError, match="must be a tuple"):
         Sequence(7, [1, 1, 1, 4])  # a list would be unhashable and mutable
+
+
+@pytest.mark.parametrize(
+    "n, coeffs, message",
+    [
+        (2, (1,), "modulus must be at least 3"),
+        (10, (0, 1), r"coefficient 0 outside \[1, 9\] for modulus 10"),
+        (10, (1, 10), r"coefficient 10 outside \[1, 9\] for modulus 10"),
+        (10, (3, 1), "coefficients must be sorted ascending"),
+        (10, (3, 0), r"coefficient 0 outside \[1, 9\]"),  # unsorted too: range comes first
+        (10, (), r"sequence length must be in \[1, 8\], got 0"),
+        (10, (1,) * 9, r"sequence length must be in \[1, 8\], got 9"),
+    ],
+)
+def test_sequence_rejection_messages(n, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        Sequence(n, coeffs)
 
 
 def test_is_zero_sum_examples():
