@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .normalform import NormalForm, ReductionOutcome, _forced, classify
-from .zseq import IndexResult, Sequence, index, weight
+from .zseq import IndexResult, Sequence, index, slot_setters, weight
 
 __all__ = [
     "DERIVATIONS",
@@ -68,7 +68,7 @@ class CertificateMiss(Exception):
     """A constructive search that is expected to succeed found nothing."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Certificate:
     """A unit multiplier m with weight n for the sequence it certifies.
 
@@ -81,9 +81,15 @@ class Certificate:
     derivation: str
     k: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.derivation not in DERIVATIONS:
-            raise ValueError(f"unknown derivation tag {self.derivation!r}")
+    def __init__(self, m: int, derivation: str, k: int | None = None) -> None:
+        if derivation not in DERIVATIONS:
+            raise ValueError(f"unknown derivation tag {derivation!r}")
+        _SET_M(self, m)
+        _SET_DERIVATION(self, derivation)
+        _SET_K(self, k)
+
+
+_SET_M, _SET_DERIVATION, _SET_K = slot_setters(Certificate)
 
 
 @dataclass(frozen=True, slots=True)

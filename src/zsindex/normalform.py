@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .zseq import Sequence, is_minimal_zero_sum
+from .zseq import Sequence, is_minimal_zero_sum, slot_setters
 
 __all__ = [
     "TAG_ALL_BIG",
@@ -52,7 +52,7 @@ TAG_NORMAL = "normal"
 TAG_OPAQUE = "opaque"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NormalForm:
     """The triple (a, b, c) with 1 + c = a + b and 1 < a <= b < c < n/2.
 
@@ -65,17 +65,20 @@ class NormalForm:
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        n, a, b, c = self.n, self.a, self.b, self.c
+    def __init__(self, n: int, a: int, b: int, c: int) -> None:
         if 1 + c != a + b:
             raise ValueError(f"normal form needs 1 + c = a + b, got a={a} b={b} c={c}")
         if not (1 < a <= b < c):
             raise ValueError(f"normal form needs 1 < a <= b < c, got a={a} b={b} c={c}")
         if not 2 * c < n:
             raise ValueError(f"normal form needs c < n/2, got c={c} n={n}")
+        _SET_NF_N(self, n)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_C(self, c)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReductionOutcome:
     """Result of classifying a sequence.
 
@@ -89,6 +92,22 @@ class ReductionOutcome:
     forced_multiplier: int | None = None
     normal_form: NormalForm | None = None
     scaling: int | None = None
+
+    def __init__(
+        self,
+        tag: str,
+        forced_multiplier: int | None = None,
+        normal_form: NormalForm | None = None,
+        scaling: int | None = None,
+    ) -> None:
+        _SET_TAG(self, tag)
+        _SET_FORCED(self, forced_multiplier)
+        _SET_FORM(self, normal_form)
+        _SET_SCALING(self, scaling)
+
+
+_SET_NF_N, _SET_A, _SET_B, _SET_C = slot_setters(NormalForm)
+_SET_TAG, _SET_FORCED, _SET_FORM, _SET_SCALING = slot_setters(ReductionOutcome)
 
 
 def _require_minimal4(seq: Sequence) -> None:

@@ -9,7 +9,7 @@ unbounded, so all arithmetic is overflow-safe for arbitrarily large moduli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 __all__ = [
@@ -47,28 +47,39 @@ def units(n: int) -> list[int]:
     return [m for m in range(1, n) if math.gcd(m, n) == 1]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sequence:
     """A multiset of nonzero residues modulo n, stored as an ascending tuple."""
 
     n: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n, coeffs = self.n, self.coeffs
+    def __init__(self, n: int, coeffs: tuple[int, ...]) -> None:
         if n < 3:
             check_modulus(n)
         if not isinstance(coeffs, tuple):
             raise ValueError(f"coefficients must be a tuple, got {type(coeffs).__name__}")
-        if not 1 <= len(coeffs) <= MAX_LEN:
-            raise ValueError(f"sequence length must be in [1, {MAX_LEN}], got {len(coeffs)}")
-        prev = 1
-        for x in coeffs:
-            if not prev <= x < n:
-                if not 1 <= x < n:
-                    raise ValueError(f"coefficient {x} outside [1, {n - 1}] for modulus {n}")
-                raise ValueError("coefficients must be sorted ascending")
-            prev = x
+        # One chained comparison settles length 4; the loop runs otherwise, or to name the fault.
+        if len(coeffs) != 4 or not 1 <= coeffs[0] <= coeffs[1] <= coeffs[2] <= coeffs[3] < n:
+            if not 1 <= len(coeffs) <= MAX_LEN:
+                raise ValueError(f"sequence length must be in [1, {MAX_LEN}], got {len(coeffs)}")
+            prev = 1
+            for x in coeffs:
+                if not prev <= x < n:
+                    if not 1 <= x < n:
+                        raise ValueError(f"coefficient {x} outside [1, {n - 1}] for modulus {n}")
+                    raise ValueError("coefficients must be sorted ascending")
+                prev = x
+        _SET_N(self, n)
+        _SET_COEFFS(self, coeffs)
+
+
+def slot_setters(cls: type) -> tuple:
+    """Each field's slot setter, in field order: it stores past a frozen class's __setattr__."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_SET_N, _SET_COEFFS = slot_setters(Sequence)
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,6 +81,27 @@ def oracle_enumerate_triples(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_sequence_check(n, coeffs) -> None:
+    """Raise the ValueError that Sequence(n, coeffs) must raise, or return None.
+
+    Sequence's checks as one per-coefficient loop on every tuple, without
+    its chained comparison for length 4.
+    """
+    if n < 3:
+        raise ValueError(f"modulus must be at least 3, got {n}")
+    if not isinstance(coeffs, tuple):
+        raise ValueError(f"coefficients must be a tuple, got {type(coeffs).__name__}")
+    if not 1 <= len(coeffs) <= 8:
+        raise ValueError(f"sequence length must be in [1, 8], got {len(coeffs)}")
+    prev = 1
+    for x in coeffs:
+        if not prev <= x < n:
+            if not 1 <= x < n:
+                raise ValueError(f"coefficient {x} outside [1, {n - 1}] for modulus {n}")
+            raise ValueError("coefficients must be sorted ascending")
+        prev = x
+
+
 def oracle_count_minimal4(n: int) -> int:
     """Number of minimal zero-sum ascending 4-tuples over Z_n, counted in O(n^2).
 

@@ -392,13 +392,13 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
         patch(home, name, counted(name))
     patch("subgroup", "try_subgroup_reduce", reductions_counted)
     patch("zseq", "weight", checked_once)
-    check_sequence = Sequence.__post_init__
+    build_sequence = Sequence.__init__
 
-    def post_init(seq):
+    def init(seq, n, coeffs):
         calls["Sequence"] += 1
-        check_sequence(seq)
+        build_sequence(seq, n, coeffs)
 
-    monkeypatch.setattr(Sequence, "__post_init__", post_init)
+    monkeypatch.setattr(Sequence, "__init__", init)
 
     sequences = 0
     most_built = 0

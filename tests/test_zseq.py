@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_index, oracle_minimal_zero_sum, totient
+from conftest import oracle_index, oracle_minimal_zero_sum, oracle_sequence_check, totient
 from zsindex.zseq import (
     Sequence,
     index,
@@ -88,6 +88,65 @@ def test_make_sequence_rejections():
 def test_sequence_rejection_messages(n, coeffs, message):
     with pytest.raises(ValueError, match=message):
         Sequence(n, coeffs)
+
+
+def _verdict(build, n, coeffs):
+    """None when build(n, coeffs) accepts, else the ValueError's message."""
+    try:
+        build(n, coeffs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_same_verdict(n, coeffs):
+    expected = _verdict(oracle_sequence_check, n, coeffs)
+    assert _verdict(Sequence, n, coeffs) == expected
+    if expected is None:
+        seq = Sequence(n, coeffs)
+        assert (seq.n, seq.coeffs) == (n, coeffs)
+
+
+@pytest.mark.parametrize(
+    "n, coeffs",
+    [
+        (2, (1,)),
+        (0, (1, 1, 1, 1)),
+        (-5, ()),
+        (7, [1, 1, 1, 4]),
+        (7, (1, 1, 1, 4)),
+        (10, ()),
+        (10, (1,)),
+        (10, (1, 2)),
+        (10, (1, 2, 3, 4)),
+        (10, (1,) * 8),
+        (10, (1,) * 9),
+        (10, (0, 1, 2, 7)),
+        (10, (1, 2, 3, 10)),
+        (10, (1, 2, 3, 9)),
+        (10, (1, 3, 2, 4)),
+        (10, (2, 1)),
+        (10, (3, 4, 0, 5)),  # 0 is both unsorted and outside: "outside" wins
+        (10, (3, 4, 5, 10, 11)),
+    ],
+)
+def test_sequence_check_matches_oracle_on_edge_cases(n, coeffs):
+    _assert_same_verdict(n, coeffs)
+
+
+@st.composite
+def raw_sequence_args(draw):
+    n = draw(st.integers(-1, 20))
+    coeffs = draw(st.lists(st.integers(-1, max(n, 0) + 1), max_size=10))
+    if draw(st.booleans()):
+        coeffs.sort()
+    return n, draw(st.sampled_from([tuple, tuple, list]))(coeffs)
+
+
+@settings(max_examples=400)
+@given(raw_sequence_args())
+def test_sequence_check_matches_oracle(args):
+    _assert_same_verdict(*args)
 
 
 def test_is_zero_sum_examples():
