@@ -102,16 +102,17 @@ class CounterexampleReport:
 
 def verify_certificate(seq: Sequence, m: int) -> bool:
     """True iff gcd(m, n) = 1 and the weight of seq under m is exactly n."""
-    if math.gcd(m, seq.n) != 1:
+    try:
+        return weight(seq, m) == seq.n
+    except ValueError:  # weight's one fault: m is not a unit
         return False
-    return weight(seq, m) == seq.n
 
 
 def make_certificate(seq: Sequence, m: int, derivation: str, k: int | None = None) -> Certificate:
     """Construct a certificate, checking the weight-n property against seq."""
     if not verify_certificate(seq, m):
         raise ValueError(f"multiplier {m} does not certify {seq.coeffs} over {seq.n}")
-    return Certificate(m=m, derivation=derivation, k=k)
+    return Certificate(m, derivation, k)
 
 
 @dataclass(frozen=True, slots=True)

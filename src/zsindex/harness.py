@@ -116,7 +116,8 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     AssertionError.
     """
     stream = _lookup(MODES, "mode", mode)(n)
-    rng = random.Random(f"{SEED}:{n}")
+    # Inlined randrange(SAMPLE_INTERVAL), drawn as CPython does: getrandbits, redrawn while too large.
+    draw, bits = random.Random(f"{SEED}:{n}").getrandbits, SAMPLE_INTERVAL.bit_length()
     histogram: dict[str, int] = {}
     counterexamples: list[CounterexampleReport] = []
     gaps = 0
@@ -134,7 +135,10 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
                 gaps += any(math.gcd(x, n) == 1 for x in seq.coeffs)  # unit-leading
         else:
             counterexamples.append(outcome)
-        if rng.randrange(SAMPLE_INTERVAL) == 0:
+        r = draw(bits)
+        while r >= SAMPLE_INTERVAL:
+            r = draw(bits)
+        if r == 0:
             drawn = True
             _cross_check(seq, outcome)
     if sequences_checked and not drawn:

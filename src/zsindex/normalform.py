@@ -159,12 +159,14 @@ def classify(seq: Sequence) -> ReductionOutcome:
     moduli route the 2*x = n boundary and the even-forced-multiplier shapes
     to opaque, because their would-be multipliers n-2 and 2 are not units.
     """
-    _require_minimal4(seq)
     n, coeffs = seq.n, seq.coeffs
+    # The quick test settles valid input; _require_minimal4 runs only to name the fault.
+    if len(coeffs) != 4 or not is_minimal_zero_sum(seq):
+        _require_minimal4(seq)
+    # ReductionOutcome(tag, forced_multiplier, normal_form, scaling), by position.
     hit = _forced(n, coeffs)
     if hit is not None:
-        tag, fm = hit
-        return ReductionOutcome(tag, forced_multiplier=fm)
+        return ReductionOutcome(*hit)
     if not (2 * coeffs[1] < n < 2 * coeffs[2]):
         return ReductionOutcome(TAG_OPAQUE)
     ul = _unit_leading(n, coeffs)
@@ -173,13 +175,11 @@ def classify(seq: Sequence) -> ReductionOutcome:
     m, scaled = ul
     hit = _forced(n, scaled)
     if hit is not None:
-        tag, fm = hit
-        return ReductionOutcome(tag, forced_multiplier=fm, scaling=m)
+        return ReductionOutcome(*hit, None, m)
     _, y2, y3, y4 = scaled
     if not (2 * y2 < n < 2 * y3):
-        return ReductionOutcome(TAG_OPAQUE, scaling=m)
-    nf = NormalForm(n, n - y4, n - y3, y2)
-    return ReductionOutcome(TAG_NORMAL, normal_form=nf, scaling=m)
+        return ReductionOutcome(TAG_OPAQUE, None, None, m)
+    return ReductionOutcome(TAG_NORMAL, None, NormalForm(n, n - y4, n - y3, y2), m)
 
 
 def normal_form_sequence(nf: NormalForm) -> Sequence:

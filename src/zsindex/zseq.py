@@ -152,13 +152,13 @@ def is_minimal_zero_sum(seq: Sequence) -> bool:
     complementary pair to 0, and every pair is x1's or the complement of
     one.  This is the package's one statement of length-4 minimality.
     """
-    if not is_zero_sum(seq):
+    n, coeffs = seq.n, seq.coeffs
+    if sum(coeffs) % n != 0:
         return False
-    n = seq.n
-    if len(seq.coeffs) == 4:
-        x1, x2, x3, x4 = seq.coeffs
+    if len(coeffs) == 4:
+        x1, x2, x3, x4 = coeffs
         return (x1 + x2) % n != 0 and (x1 + x3) % n != 0 and (x1 + x4) % n != 0
-    return _proper_subsets_nonzero(n, seq.coeffs)
+    return _proper_subsets_nonzero(n, coeffs)
 
 
 def weight(seq: Sequence, m: int) -> int:

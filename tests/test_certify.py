@@ -41,11 +41,19 @@ def test_verify_certificate_examples():
     assert verify_certificate(make_sequence(7, [1, 1, 1, 4]), 1) is True
     assert verify_certificate(s, 2) is False
     assert verify_certificate(s, 5) is False  # not a unit
+    # A non-unit is a plain False, never weight's ValueError: m = 0 mod n,
+    # and m sharing each prime factor of the composite moduli 175 and 35.
+    t = make_sequence(35, [1, 4, 12, 18])
+    for seq in (s, t):
+        for m in (0, seq.n, -seq.n, 2 * seq.n, 5, 7, 10, 14, 35, seq.n + 5):
+            assert verify_certificate(seq, m) is False
 
 
 def test_make_certificate_rejects_non_witnesses():
-    with pytest.raises(ValueError):
-        make_certificate(make_sequence(175, [5, 77, 133, 135]), 2, FORCED)
+    s = make_sequence(175, [5, 77, 133, 135])
+    for m in (2, 0, 7, 35):  # a unit of the wrong weight, then non-units
+        with pytest.raises(ValueError, match=rf"^multiplier {m} does not certify \(5, 77, 133, 135\) over 175$"):
+            make_certificate(s, m, FORCED)
 
 
 def test_certificate_tags_are_the_stage_names():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from zsindex import normalform
 from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.normalform import (
     TAG_ALL_BIG,
@@ -80,10 +81,27 @@ def test_classify_routes_even_boundary_to_opaque():
 
 
 def test_classify_rejects_invalid_input():
-    with pytest.raises(ValueError):
-        classify(make_sequence(5, [1, 2, 3, 4]))  # not minimal
-    with pytest.raises(ValueError):
-        classify(make_sequence(5, [1, 4]))  # not length 4
+    with pytest.raises(ValueError, match=r"^\(1, 2, 3, 4\) over 5 is not minimal zero-sum$"):
+        classify(make_sequence(5, [1, 2, 3, 4]))
+    with pytest.raises(ValueError, match=r"^\(1, 1, 1, 1\) over 7 is not minimal zero-sum$"):
+        classify(make_sequence(7, [1, 1, 1, 1]))  # not even zero-sum
+    with pytest.raises(ValueError, match="^expected a length-4 sequence$"):
+        classify(make_sequence(7, [1, 2, 4]))  # minimal zero-sum, but length 3
+    with pytest.raises(ValueError, match="^expected a length-4 sequence$"):
+        classify(make_sequence(5, [1, 4]))
+
+
+def test_classify_names_a_fault_only_on_invalid_input(monkeypatch):
+    """Valid input is settled by classify's own quick test; the checker that
+    names the fault is never reached."""
+
+    def unreachable(seq):
+        raise AssertionError(f"_require_minimal4 reached on valid input {seq}")
+
+    monkeypatch.setattr(normalform, "_require_minimal4", unreachable)
+    for n in range(3, 30):
+        for seq in iter_min_zero_sum4(n):
+            classify(seq)
 
 
 def test_normal_form_sequence_examples():
