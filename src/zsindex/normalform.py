@@ -120,13 +120,14 @@ def _require_minimal4(seq: Sequence) -> None:
 def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """The inverse m of the smallest unit coefficient and the sorted image m*coeffs.
 
-    No checks: the caller has checked that coeffs is minimal zero-sum mod n,
-    and the coefficient just found coprime to n is a unit.
+    No checks: the caller has checked that coeffs is a minimal zero-sum
+    4-tuple mod n, and the coefficient just found coprime to n is a unit.
     """
     for x in coeffs:
         if math.gcd(x, n) == 1:
             m = pow(x, -1, n)
-            return m, tuple(sorted([m * y % n for y in coeffs]))
+            x1, x2, x3, x4 = coeffs
+            return m, tuple(sorted((m * x1 % n, m * x2 % n, m * x3 % n, m * x4 % n)))
     return None
 
 

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MAX_LEN = 8
+_ONE = Fraction(1)  # every index-1 result shares it; a Fraction is immutable
 
 
 def check_modulus(n: int) -> int:
@@ -74,15 +75,7 @@ class Sequence:
         _SET_COEFFS(self, coeffs)
 
 
-def slot_setters(cls: type) -> tuple:
-    """Each field's slot setter, in field order: it stores past a frozen class's __setattr__."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_SET_N, _SET_COEFFS = slot_setters(Sequence)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IndexResult:
     """Minimal weight over all unit multipliers, as a fraction of n, with its witness.
 
@@ -93,6 +86,19 @@ class IndexResult:
 
     value: Fraction
     witness: int
+
+    def __init__(self, value: Fraction, witness: int) -> None:
+        _SET_VALUE(self, value)
+        _SET_WITNESS(self, witness)
+
+
+def slot_setters(cls: type) -> tuple:
+    """Each field's slot setter, in field order: it stores past a frozen class's __setattr__."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_SET_N, _SET_COEFFS = slot_setters(Sequence)
+_SET_VALUE, _SET_WITNESS = slot_setters(IndexResult)
 
 
 def make_sequence(n: int, coeffs: list[int] | tuple[int, ...]) -> Sequence:
@@ -195,10 +201,11 @@ def index(seq: Sequence) -> IndexResult:
     """
     n = seq.n
     coeffs = seq.coeffs
+    gcd = math.gcd
     best_w: int | None = None
     best_m = 1
     for m in range(1, n):
-        if math.gcd(m, n) != 1:
+        if gcd(m, n) != 1:
             continue
         w = 0
         for x in coeffs:
@@ -208,4 +215,4 @@ def index(seq: Sequence) -> IndexResult:
             if w == n:
                 break
     assert best_w is not None
-    return IndexResult(Fraction(best_w, n), best_m)
+    return IndexResult(_ONE if best_w == n else Fraction(best_w, n), best_m)

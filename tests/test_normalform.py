@@ -38,6 +38,19 @@ def test_unit_leading_examples():
     assert _unit_leading(25, (1, 11, 18, 20)) == (1, (1, 11, 18, 20))
 
 
+def test_unit_leading_inverts_the_smallest_unit_coefficient():
+    # Every minimal sequence over n = 5..60, even moduli and multiples of 3 included.
+    for n in range(5, 61):
+        for seq in iter_min_zero_sum4(n):
+            coeffs = seq.coeffs
+            unit = [x for x in coeffs if math.gcd(x, n) == 1]
+            if not unit:
+                assert _unit_leading(n, coeffs) is None
+                continue
+            m = pow(unit[0], -1, n)
+            assert _unit_leading(n, coeffs) == (m, tuple(sorted(m * y % n for y in coeffs)))
+
+
 def test_classify_examples():
     out = classify(make_sequence(7, [4, 5, 6, 6]))
     assert out.tag == TAG_NU3 and out.forced_multiplier == 6

@@ -7,8 +7,9 @@ refuse assignment (when frozen) and survive pickling, which is how
 counterexample reports cross the `--jobs` process boundary.
 
 The four types built once per sequence (Sequence, NormalForm,
-ReductionOutcome and Certificate) write their own `__init__`: it checks
-the fields and stores each through its slot's setter, with no
+ReductionOutcome and Certificate), and IndexResult, built once per
+`index` call, write their own `__init__`: it runs the type's checks, if
+any, and stores each field through its slot's setter, with no
 `__post_init__`.  They must still build like the generated dataclass:
 by position, by keyword, with the field defaults and through
 `dataclasses.replace`.
@@ -19,12 +20,14 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import zsindex
 from zsindex import (
     Certificate,
+    IndexResult,
     NormalForm,
     ReductionOutcome,
     Sequence,
@@ -94,6 +97,7 @@ HAND_BUILT = {
     "NormalForm": (NormalForm, (11, 2, 3, 4)),
     "ReductionOutcome": (ReductionOutcome, ("normal", None, _FORM, 3)),
     "Certificate": (Certificate, (5, "interval", 2)),
+    "IndexResult": (IndexResult, (Fraction(3, 2), 5)),
 }
 
 

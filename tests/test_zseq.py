@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_index, oracle_minimal_zero_sum, oracle_sequence_check, totient
+from zsindex.harness import result_json
 from zsindex.zseq import (
     Sequence,
     index,
@@ -246,6 +249,26 @@ def test_index_of_non_zero_sum_is_fractional():
     assert r.value == Fraction(
         min(weight(make_sequence(7, [1, 1, 1, 3]), m) for m in units(7)), 7
     )
+
+
+def test_index_one_value_is_a_plain_fraction_one():
+    seq = make_sequence(175, [5, 77, 133, 135])
+    r = index(seq)
+    assert r.value == 1 and type(r.value) is Fraction
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and type(back.value) is Fraction
+    want = '{"seq": [5, 77, 133, 135], "value": 1, "witness": 3}'
+    assert json.dumps(result_json(seq, r)) == json.dumps(result_json(seq, back)) == want
+
+
+def test_index_shares_its_one_value_only_at_weight_n():
+    one = index(make_sequence(175, [5, 77, 133, 135])).value
+    assert index(make_sequence(7, [1, 1, 1, 4])).value is one
+    two = index(make_sequence(8, [1, 4, 5, 6])).value
+    assert two == Fraction(2) and type(two) is Fraction and two is not one
+    # A non-zero-sum weight is never a multiple of n, so it never stops the scan at n.
+    frac = index(make_sequence(7, [1, 1, 1, 3])).value
+    assert frac == Fraction(6, 7) and frac is not one
 
 
 @settings(max_examples=150)
