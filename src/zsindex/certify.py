@@ -72,8 +72,8 @@ class CertificateMiss(Exception):
 class Certificate:
     """A unit multiplier m with weight n for the sequence it certifies.
 
-    k is the interval index, present only when classify's scaling is None
-    or 1; m then satisfies k*n <= m*c, m*b <= k*n, 1 <= k <= b and m*a < n
+    k is the interval index, present only when classify's scaling is 1;
+    m then satisfies k*n <= m*c, m*b <= k*n, 1 <= k <= b and m*a < n
     against the sequence's own normal form.
     """
 
@@ -228,8 +228,10 @@ def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
 
     Reads f off classify's ladder on the sorted image of seq under mid and
     certifies with |f*mid|_n: f is the first of 1, n-1, n-2, 2 that works.
-    None when the image (nu = 2) splits strictly around n/2, where all four
-    weigh 2n.  ValueError unless mid is a unit and seq zero-sum of length 4.
+    None when the ladder gives no multiplier: the image (nu = 2) splits
+    strictly around n/2, where all four weigh 2n, or, for even n, any other
+    nu = 2 image, where n-2 and 2 are not units.  ValueError unless mid is
+    a unit and seq zero-sum of length 4.
     """
     n, coeffs = seq.n, seq.coeffs
     if math.gcd(mid, n) != 1:
@@ -237,7 +239,7 @@ def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
     if len(coeffs) != 4 or sum(coeffs) % n != 0:
         raise ValueError(f"finalize needs a zero-sum length-4 sequence, got {coeffs} over {n}")
     hit = _forced(n, tuple(sorted(mid * x % n for x in coeffs)))
-    if hit is None:
+    if hit is None or hit[1] is None:
         return None
     return make_certificate(seq, hit[1] * mid % n, derivation)
 
@@ -284,14 +286,11 @@ def _on_input(
 ) -> Certificate:
     """The certificate for seq from a multiplier m of the classified copy scale(seq, scaling).
 
-    With scaling None or 1 the copy is seq and m keeps its interval index k.
-    Otherwise seq's multiplier is |m*scaling|_n and k is dropped: it no
-    longer satisfies the k-interval inequalities.
+    seq's multiplier is |m*scaling|_n.  k is kept only when scaling is 1: on
+    any other copy it no longer satisfies the k-interval inequalities.
     """
     scaling = out.scaling
-    if scaling is None or scaling == 1:
-        return make_certificate(seq, m, derivation, k)
-    return make_certificate(seq, m * scaling % seq.n, derivation)
+    return make_certificate(seq, m * scaling % seq.n, derivation, k if scaling == 1 else None)
 
 
 # A stage takes the sequence and its classification and returns None when
@@ -329,7 +328,7 @@ def _interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
 
 
 def _finish(seq: Sequence, out: ReductionOutcome, mid: int | None, derivation: str) -> _Step:
-    """Finish the copy's intermediate multiplier on seq itself, through mid*scaling."""
+    """Finish the copy's intermediate multiplier on seq itself, through |mid*scaling|_n."""
     if mid is None:
         return None, ""
     cert = finalize(seq, mid * out.scaling % seq.n, derivation)

@@ -82,23 +82,22 @@ class NormalForm:
 class ReductionOutcome:
     """Result of classifying a sequence.
 
-    When `scaling` is present the tag, forced multiplier and normal form all
-    describe the unit-scaled copy scale(S, scaling); a forced multiplier fm
-    then certifies the original sequence through (fm * scaling) % n.
-    Without scaling they describe the sequence itself.
+    `scaling` is the unit u whose copy scale(S, u) the tag, forced multiplier
+    and normal form describe; 1, the default, when that copy is S itself.  A
+    forced multiplier fm certifies S through (fm * scaling) % n.
     """
 
     tag: str
     forced_multiplier: int | None = None
     normal_form: NormalForm | None = None
-    scaling: int | None = None
+    scaling: int = 1
 
     def __init__(
         self,
         tag: str,
         forced_multiplier: int | None = None,
         normal_form: NormalForm | None = None,
-        scaling: int | None = None,
+        scaling: int = 1,
     ) -> None:
         _SET_TAG(self, tag)
         _SET_FORCED(self, forced_multiplier)
@@ -131,10 +130,12 @@ def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]
     return None
 
 
-def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int] | None:
-    """Forced ladder on a sorted zero-sum tuple; None when nu=2 splits strictly around n/2.
+def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int | None] | None:
+    """Forced ladder on a sorted zero-sum tuple: (tag, multiplier), or None for the split.
 
-    The one forced-multiplier rule: classify runs it on its input and on the
+    None exactly when nu = 2 and x2 < n/2 < x3.  (TAG_OPAQUE, None) for the
+    other nu = 2 tuples over even n, where n-2 and 2 are not units.  The one
+    statement of the ladder: classify runs it on its input and on the
     unit-scaled copy, and `certify.finalize` on the image under an
     intermediate multiplier.  nu is read as sum // n without a check: both
     callers have checked the zero sum, and a unit image keeps it.
@@ -144,13 +145,13 @@ def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int] | None:
         return TAG_NU1, 1
     if v == 3:
         return TAG_NU3, n - 1
-    x2, x3 = coeffs[1], coeffs[2]
-    if n % 2 == 1:  # n-2 and 2 are units only for odd n
-        if 2 * x3 < n:
-            return TAG_ALL_SMALL, n - 2
-        if 2 * x2 > n:
-            return TAG_ALL_BIG, 2
-    return None
+    if 2 * coeffs[1] < n < 2 * coeffs[2]:
+        return None
+    if n % 2 == 0:  # n-2 and 2 are units only for odd n
+        return TAG_OPAQUE, None
+    if 2 * coeffs[2] < n:
+        return TAG_ALL_SMALL, n - 2
+    return TAG_ALL_BIG, 2
 
 
 def classify(seq: Sequence) -> ReductionOutcome:
@@ -168,8 +169,6 @@ def classify(seq: Sequence) -> ReductionOutcome:
     hit = _forced(n, coeffs)
     if hit is not None:
         return ReductionOutcome(*hit)
-    if not (2 * coeffs[1] < n < 2 * coeffs[2]):
-        return ReductionOutcome(TAG_OPAQUE)
     ul = _unit_leading(n, coeffs)
     if ul is None:
         return ReductionOutcome(TAG_OPAQUE)
@@ -178,8 +177,6 @@ def classify(seq: Sequence) -> ReductionOutcome:
     if hit is not None:
         return ReductionOutcome(*hit, None, m)
     _, y2, y3, y4 = scaled
-    if not (2 * y2 < n < 2 * y3):
-        return ReductionOutcome(TAG_OPAQUE, None, None, m)
     return ReductionOutcome(TAG_NORMAL, None, NormalForm(n, n - y4, n - y3, y2), m)
 
 

@@ -108,8 +108,6 @@ def make_sequence(n: int, coeffs: list[int] | tuple[int, ...]) -> Sequence:
     zero-sum subsequence.
     """
     check_modulus(n)
-    if not coeffs:
-        raise ValueError("empty coefficient list")
     reduced = []
     for x in coeffs:
         r = x % n

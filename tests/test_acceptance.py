@@ -160,8 +160,7 @@ def test_criterion_6_property_suites():
                 failures.append(f"nu out of range at n={n} seq={seq.coeffs}")
             out = classify(seq)
             if out.forced_multiplier is not None:
-                target = seq if out.scaling is None else scale(seq, out.scaling)
-                if weight(target, out.forced_multiplier) != n:
+                if weight(scale(seq, out.scaling), out.forced_multiplier) != n:
                     failures.append(f"forced multiplier failed at n={n} seq={seq.coeffs}")
             reduction = try_subgroup_reduce(seq)
             if reduction is not None:

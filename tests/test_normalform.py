@@ -12,7 +12,9 @@ from zsindex.normalform import (
     TAG_NU3,
     TAG_OPAQUE,
     NormalForm,
+    ReductionOutcome,
     classify,
+    _forced,
     _unit_leading,
     normal_form_sequence,
 )
@@ -135,7 +137,6 @@ def test_normal_form_validation():
 
 
 def test_classify_is_total_with_consistent_fields():
-    tags_with_fm = {TAG_NU1: 1, TAG_NU3: None, TAG_ALL_SMALL: None, TAG_ALL_BIG: 2}
     for n in range(3, 45):
         for seq in iter_min_zero_sum4(n):
             out = classify(seq)
@@ -148,7 +149,7 @@ def test_classify_is_total_with_consistent_fields():
             elif out.tag == TAG_ALL_BIG:
                 assert out.forced_multiplier == 2
             elif out.tag == TAG_NORMAL:
-                assert out.normal_form is not None and out.scaling is not None
+                assert out.normal_form is not None
             else:
                 assert out.tag == TAG_OPAQUE
                 assert out.forced_multiplier is None and out.normal_form is None
@@ -160,11 +161,45 @@ def test_forced_multipliers_reach_weight_n():
             out = classify(seq)
             if out.forced_multiplier is None:
                 continue
-            target = seq if out.scaling is None else scale(seq, out.scaling)
-            assert weight(target, out.forced_multiplier) == n
-            if out.scaling is not None:
-                composed = (out.forced_multiplier * out.scaling) % n
-                assert weight(seq, composed) == n
+            assert weight(scale(seq, out.scaling), out.forced_multiplier) == n
+            composed = (out.forced_multiplier * out.scaling) % n
+            assert weight(seq, composed) == n
+
+
+def test_scaling_is_a_unit_and_one_exactly_when_the_outcome_describes_the_input():
+    for n in range(3, 61):
+        for seq in iter_min_zero_sum4(n):
+            out = classify(seq)
+            x1, x2, x3, _ = coeffs = seq.coeffs
+            assert 1 <= out.scaling < n and math.gcd(out.scaling, n) == 1
+            split = nu(seq) == 2 and 2 * x2 < n < 2 * x3
+            has_unit = any(math.gcd(x, n) == 1 for x in coeffs)
+            # The input's own ladder decides, no unit can rescale it, or its
+            # unit-led copy is itself: then a split input is a normal form.
+            describes_input = not split or not has_unit or x1 == 1
+            assert (out.scaling == 1) == describes_input, seq
+            if split and has_unit and x1 == 1:
+                assert out.tag == TAG_NORMAL
+            # The outcome describes the copy scale(seq, scaling), which classify settles unscaled.
+            copy = classify(scale(seq, out.scaling))
+            assert copy == ReductionOutcome(out.tag, out.forced_multiplier, out.normal_form), seq
+
+
+def test_forced_is_none_exactly_on_the_split():
+    # Each sequence and the unit-led copy classify rescales it to; the
+    # enumeration is closed under unit scaling, so every copy is covered.
+    opaque_moduli = set()
+    for n in range(3, 61):
+        for seq in iter_min_zero_sum4(n):
+            unit_led = _unit_leading(n, seq.coeffs)
+            for t in (seq.coeffs,) if unit_led is None else (seq.coeffs, unit_led[1]):
+                hit = _forced(n, t)
+                split = sum(t) == 2 * n and 2 * t[1] < n < 2 * t[2]
+                assert (hit is None) == split, (n, t)
+                if hit is not None and hit[1] is None:
+                    assert hit[0] == TAG_OPAQUE and n % 2 == 0, (n, t)
+                    opaque_moduli.add(n)
+    assert opaque_moduli == set(range(6, 61, 2))
 
 
 def test_normal_branch_soundness():

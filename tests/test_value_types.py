@@ -119,7 +119,7 @@ def test_hand_written_init_builds_like_a_dataclass(name):
 
 
 def test_hand_written_init_defaults():
-    assert ReductionOutcome("opaque") == ReductionOutcome("opaque", None, None, None)
+    assert ReductionOutcome("opaque") == ReductionOutcome("opaque", None, None, 1)
     assert ReductionOutcome("nu1", forced_multiplier=1).normal_form is None
     assert Certificate(1, "forced").k is None
     assert Certificate(m=1, derivation="forced") == Certificate(1, "forced", None)

@@ -67,8 +67,6 @@ def test_make_sequence_rejections():
     with pytest.raises(ValueError):
         make_sequence(10, [5, 5, 10, 1])  # zero class
     with pytest.raises(ValueError):
-        make_sequence(10, [])
-    with pytest.raises(ValueError):
         make_sequence(10, [1] * 9)
     with pytest.raises(ValueError):
         make_sequence(2, [1])
@@ -86,11 +84,14 @@ def test_make_sequence_rejections():
         (10, (3, 0), r"coefficient 0 outside \[1, 9\]"),  # unsorted too: range comes first
         (10, (), r"sequence length must be in \[1, 8\], got 0"),
         (10, (1,) * 9, r"sequence length must be in \[1, 8\], got 9"),
+        (7, [], r"sequence length must be in \[1, 8\], got 0"),
     ],
 )
 def test_sequence_rejection_messages(n, coeffs, message):
+    # A list goes in through make_sequence, which leaves every length rule to Sequence.
+    build = make_sequence if isinstance(coeffs, list) else Sequence
     with pytest.raises(ValueError, match=message):
-        Sequence(n, coeffs)
+        build(n, coeffs)
 
 
 def _verdict(build, n, coeffs):
