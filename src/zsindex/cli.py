@@ -131,8 +131,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for orbit in iter_orbit_reps(args.n):
             print(",".join(map(str, orbit.rep.coeffs)), orbit.orbit_size)
     else:
-        for seq in iter_min_zero_sum4(args.n):
-            print(",".join(map(str, seq.coeffs)))
+        for coeffs in iter_min_zero_sum4(args.n):
+            print(",".join(map(str, coeffs)))
     return 0
 
 

@@ -6,13 +6,16 @@ pair through x1 sums to 0 mod n (zseq.is_minimal_zero_sum says why that
 is minimality), so nearly every step yields: about n^3/24 per modulus.  No
 other sieve is used on purpose: this stream is the trusted ground truth
 that every verification mode builds on, simple enough to audit by eye.
+It yields plain coefficient tuples; a caller that certifies one wraps it
+in a Sequence, so only checked sequences pay for the validated build.
 
 Unit orbits follow one candidate rule.  The lex-least member of an orbit
 starts with d = min gcd(x_i, n), and only the candidate units, those
 m = (x/d)^-1 (mod n/d) that send a coefficient x of gcd d to d, can give a
-copy that starts with d.  iter_orbit_reps filters the enumerated stream:
-a sequence whose first coefficient is not that d is dropped in O(1), and
-the rest are tested against their candidates only.
+copy that starts with d.  iter_orbit_reps filters the enumerated tuples:
+one whose first coefficient is not that d is dropped in O(1), the rest
+are tested against their candidates only, and just the representatives
+become Sequences.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ class OrbitRep:
     orbit_size: int
 
 
-def iter_min_zero_sum4(n: int) -> Iterator[Sequence]:
-    """Yield every minimal zero-sum length-4 sequence over Z_n exactly once.
+def iter_min_zero_sum4(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield every minimal zero-sum length-4 sequence over Z_n exactly once,
+    as its ascending coefficient tuple (x1, x2, x3, x4); Sequence(n, t) wraps one.
 
     Tuples come out in strictly increasing lexicographic order: with x3 + x4
     = r = nu*n - x1 - x2, the bounds x2 <= x3 <= x4 <= n - 1 say exactly
@@ -54,60 +58,64 @@ def iter_min_zero_sum4(n: int) -> Iterator[Sequence]:
             for r in (n - s12, 2 * n - s12, 3 * n - s12):
                 for x3 in range(max(x2, r - n + 1), r // 2 + 1):
                     if x3 != c1 and x3 != c2:
-                        yield Sequence(n, (x1, x2, x3, r - x3))
+                        yield (x1, x2, x3, r - x3)
 
 
 def iter_orbit_reps(n: int) -> Iterator[OrbitRep]:
     """Yield one OrbitRep per unit orbit of minimal zero-sum length-4 sequences.
 
-    A sequence of iter_min_zero_sum4(n) is emitted iff it is the lex-least
-    member of its own orbit, so the union of the emitted orbits recovers
-    that stream with multiplicity orbit_size, and reps come out in its
-    ascending order.  Streaming: no per-n materialization.
+    A tuple of iter_min_zero_sum4(n) is emitted, wrapped in a Sequence,
+    iff it is the lex-least member of its own orbit, so the union of the
+    emitted orbits recovers that stream with multiplicity orbit_size, and
+    reps come out in its ascending order.  Streaming: no per-n
+    materialization.  Both tests below run on the plain tuple, against a
+    gcd table and candidate lists built once per modulus.
 
     Every element y of a scaled copy satisfies y >= gcd(y, n), and some
     unit sends a coefficient with the least gcd d to d itself, so a
     representative has x1 = d: x1 divides n and no gcd(x_i, n) is below
-    it.  A sequence passing that test can only be beaten by one of its
+    it.  A tuple passing that test can only be beaten by one of its
     candidate units; it is a representative iff no candidate sorts it to a
-    smaller tuple.  The candidates that give the sequence back are its
+    smaller tuple.  The candidates that give the tuple back are its
     whole stabiliser, so orbit_size = phi(n) / |stabiliser|.
     """
     phi = len(units(n))
-    for seq in iter_min_zero_sum4(n):
-        coeffs = seq.coeffs
+    g = [math.gcd(x, n) for x in range(n)]
+    candidates: list[list[int] | None] = [None] * n
+    for coeffs in iter_min_zero_sum4(n):
         d = coeffs[0]
-        if n % d or (d > 1 and min(math.gcd(x, n) for x in coeffs[1:]) < d):
+        if n % d or (d > 1 and min(g[coeffs[1]], g[coeffs[2]], g[coeffs[3]]) < d):
             continue
-        stabiliser = _stabiliser_size(coeffs, n, d)
+        stabiliser = _stabiliser_size(coeffs, n, g, candidates)
         if stabiliser:
-            yield OrbitRep(seq, phi // stabiliser)
+            yield OrbitRep(Sequence(n, coeffs), phi // stabiliser)
 
 
-def _candidates(coeffs: tuple[int, ...], n: int, d: int) -> Iterator[int]:
-    """The units m = (x/d)^-1 (mod n/d) for each distinct coefficient x with gcd(x, n) = d.
-
-    These are exactly the units that send some gcd-d coefficient to d.
-    """
+def _candidates(x: int, n: int, d: int) -> list[int]:
+    """The units m = (x/d)^-1 (mod n/d) for a coefficient x with gcd(x, n) = d:
+    exactly the units with m*x = d (mod n)."""
     step = n // d
-    for x in set(coeffs):
-        if math.gcd(x, n) == d:
-            for m in range(pow(x // d, -1, step), n, step):
-                if math.gcd(m, n) == 1:
-                    yield m
+    return [m for m in range(pow(x // d, -1, step), n, step) if math.gcd(m, n) == 1]
 
 
-def _stabiliser_size(coeffs: tuple[int, ...], n: int, d: int) -> int:
+def _stabiliser_size(coeffs: tuple[int, ...], n: int, g: list[int], candidates: list) -> int:
     """Number of units that map coeffs to itself, or 0 if one maps it lower.
 
-    Only the _candidates are tried, which is enough because iter_orbit_reps
-    calls it only on coeffs that start with d = min gcd(x_i, n).
+    Only the _candidates of the coefficients x with g[x] = d = coeffs[0]
+    are tried, each list built into candidates[x] on first use; that is
+    enough because iter_orbit_reps calls it only when d = min gcd(x_i, n).
     """
+    x1, x2, x3, x4 = coeffs
     stabiliser = 0
-    for m in _candidates(coeffs, n, d):
-        image = tuple(sorted([(m * y) % n for y in coeffs]))
-        if image < coeffs:
-            return 0
-        if image == coeffs:
-            stabiliser += 1
+    for x in {x1, x2, x3, x4}:
+        if g[x] == x1:
+            ms = candidates[x]
+            if ms is None:
+                ms = candidates[x] = _candidates(x, n, x1)
+            for m in ms:
+                image = tuple(sorted((m * x1 % n, m * x2 % n, m * x3 % n, m * x4 % n)))
+                if image < coeffs:
+                    return 0
+                if image == coeffs:
+                    stabiliser += 1
     return stabiliser

@@ -41,7 +41,7 @@ __all__ = [
 
 # Mode name -> the (sequence, sequences, orbits) stream verify_modulus checks.
 MODES = {
-    "full": lambda n: zip(iter_min_zero_sum4(n), repeat(1), repeat(0)),
+    "full": lambda n: zip(map(Sequence, repeat(n), iter_min_zero_sum4(n)), repeat(1), repeat(0)),
     "orbits": lambda n: ((orbit.rep, orbit.orbit_size, 1) for orbit in iter_orbit_reps(n)),
 }
 
@@ -106,7 +106,8 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     orbits: run it on one representative per unit orbit (index is constant
             on orbits).  This saves certificate work, up to phi(n) times
             less of it, but representatives are still filtered out of the
-            full enumeration, which bounds the mode's time.
+            full enumeration's plain tuples, which bounds the mode's time;
+            only the representatives become Sequences.
 
     In both modes a deterministic 1-in-K sample (seeded by n, K =
     SAMPLE_INTERVAL) of the processed sequences is cross-checked against
@@ -227,7 +228,7 @@ def find_counterexample(n: int) -> CounterexampleReport | None:
     Uses the brute-force index directly; the certificate pipeline is not
     consulted, so this is an independent oracle scan.
     """
-    for seq in iter_min_zero_sum4(n):
+    for seq in map(Sequence, repeat(n), iter_min_zero_sum4(n)):
         result = index(seq)
         if result.value > 1:
             return CounterexampleReport(seq, result)

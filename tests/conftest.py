@@ -3,13 +3,18 @@
 These deliberately reimplement functionality with different algorithms
 (itertools subsets instead of bitmasks, factorization-based totient, full
 unit scans) so that library code is always checked against a second route.
+min_zero_sum4_sequences is no oracle: it wraps the library's enumerated
+tuples in Sequences for the tests that need them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
+
+from zsindex.enumeration import iter_min_zero_sum4
+from zsindex.zseq import Sequence
 
 
 def totient(n: int) -> int:
@@ -79,6 +84,12 @@ def oracle_enumerate_triples(n: int) -> list[tuple[int, ...]]:
                 if x4 >= x3 and x1 + x3 != n and x2 + x3 != n:
                     out.append((x1, x2, x3, x4))
     return out
+
+
+def min_zero_sum4_sequences(n: int):
+    """Each coefficient tuple t of iter_min_zero_sum4(n) as Sequence(n, t), in
+    order: the enumerated stream for tests that need sequences."""
+    return map(Sequence, repeat(n), iter_min_zero_sum4(n))
 
 
 def oracle_sequence_check(n, coeffs) -> None:

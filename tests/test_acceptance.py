@@ -13,7 +13,7 @@ index 2 and so no certificate at all.
 import math
 import time
 
-from conftest import factorize, oracle_index
+from conftest import factorize, min_zero_sum4_sequences, oracle_index
 from zsindex.certify import (
     BRUTE_FORCE,
     Certificate,
@@ -73,7 +73,7 @@ def test_criterion_3_constructive_coverage():
     failures = []
     checked = 0
     for n in CONSTRUCTIVE_MODULI:
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             if not any(math.gcd(x, n) == 1 for x in seq.coeffs):
                 continue
             checked += 1
@@ -112,7 +112,7 @@ def test_criterion_4_squarefree_two_prime_moduli():
     for n in moduli:
         p, q = sorted(factorize(n))
         if n in mixed_watch:
-            for seq in iter_min_zero_sum4(n):
+            for seq in min_zero_sum4_sequences(n):
                 gcds = [math.gcd(x, n) for x in seq.coeffs]
                 if sorted(gcds) == [p, p, q, q]:
                     mixed_hits.append((n, seq.coeffs))
@@ -154,7 +154,7 @@ def test_criterion_6_property_suites():
     # 6b + 6c + 6e in one pass over every modulus up to 120:
     # nu range, forced-multiplier telescoping, subgroup lift soundness.
     for n in range(3, 121):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             v = nu(seq)
             if v not in (1, 2, 3):
                 failures.append(f"nu out of range at n={n} seq={seq.coeffs}")
@@ -229,7 +229,7 @@ def test_criterion_6_property_suites():
         )
 
     # 6f: exact enumeration for n=5
-    got = [s.coeffs for s in iter_min_zero_sum4(5)]
+    got = list(iter_min_zero_sum4(5))
     if got != [(1, 1, 1, 2), (1, 3, 3, 3), (2, 2, 2, 4), (3, 4, 4, 4)]:
         failures.append(f"n=5 enumeration produced {got}")
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import factorize, oracle_finalize, oracle_search_interval
+from conftest import factorize, min_zero_sum4_sequences, oracle_finalize, oracle_search_interval
 from test_normalform import all_normal_forms
 from zsindex import certify
 from zsindex.certify import (
@@ -26,7 +26,6 @@ from zsindex.certify import (
     small_a_certificate,
     verify_certificate,
 )
-from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.normalform import NormalForm, normal_form_sequence
 from zsindex.zseq import Sequence, index, make_sequence, units, weight
 
@@ -246,7 +245,7 @@ def test_finalize_matches_the_four_factor_trial_on_every_minimal_sequence_up_to_
     pairs = 0
     for n in range(3, 36):
         unit_list = units(n)
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             for mid in unit_list:
                 cert = finalize(seq, mid, MAJORITY_SMALL)
                 got = None if cert is None else cert.m
@@ -413,7 +412,7 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
     for n in range(5, 61):
         if math.gcd(n, 6) != 1:
             continue
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             seen.clear()
             built, reduced = calls["Sequence"], calls["reduced"]
             certify.find_certificate(seq)
@@ -433,7 +432,7 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
 
 def test_find_certificate_agrees_with_oracle_everywhere():
     for n in range(3, 41):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             outcome = find_certificate(seq)
             oracle = index(seq)
             if isinstance(outcome, Certificate):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import min_zero_sum4_sequences
 from zsindex import certify, harness
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.harness import (
@@ -69,7 +70,7 @@ def test_oracle_sees_a_seeded_one_in_100_draw_of_the_processed_stream(monkeypatc
     monkeypatch.setattr(harness, "index", recording_index)
     verify_modulus(n, mode)
     if mode == "full":
-        stream = list(iter_min_zero_sum4(n))
+        stream = list(min_zero_sum4_sequences(n))
     else:
         stream = [orbit.rep for orbit in iter_orbit_reps(n)]
     rng = random.Random(f"0:{n}")

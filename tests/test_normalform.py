@@ -2,8 +2,8 @@ import math
 
 import pytest
 
+from conftest import min_zero_sum4_sequences
 from zsindex import normalform
-from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.normalform import (
     TAG_ALL_BIG,
     TAG_ALL_SMALL,
@@ -43,7 +43,7 @@ def test_unit_leading_examples():
 def test_unit_leading_inverts_the_smallest_unit_coefficient():
     # Every minimal sequence over n = 5..60, even moduli and multiples of 3 included.
     for n in range(5, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             coeffs = seq.coeffs
             unit = [x for x in coeffs if math.gcd(x, n) == 1]
             if not unit:
@@ -115,7 +115,7 @@ def test_classify_names_a_fault_only_on_invalid_input(monkeypatch):
 
     monkeypatch.setattr(normalform, "_require_minimal4", unreachable)
     for n in range(3, 30):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             classify(seq)
 
 
@@ -138,7 +138,7 @@ def test_normal_form_validation():
 
 def test_classify_is_total_with_consistent_fields():
     for n in range(3, 45):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             out = classify(seq)
             if out.tag == TAG_NU1:
                 assert out.forced_multiplier == 1
@@ -157,7 +157,7 @@ def test_classify_is_total_with_consistent_fields():
 
 def test_forced_multipliers_reach_weight_n():
     for n in range(3, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             out = classify(seq)
             if out.forced_multiplier is None:
                 continue
@@ -168,7 +168,7 @@ def test_forced_multipliers_reach_weight_n():
 
 def test_scaling_is_a_unit_and_one_exactly_when_the_outcome_describes_the_input():
     for n in range(3, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             out = classify(seq)
             x1, x2, x3, _ = coeffs = seq.coeffs
             assert 1 <= out.scaling < n and math.gcd(out.scaling, n) == 1
@@ -190,7 +190,7 @@ def test_forced_is_none_exactly_on_the_split():
     # enumeration is closed under unit scaling, so every copy is covered.
     opaque_moduli = set()
     for n in range(3, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             unit_led = _unit_leading(n, seq.coeffs)
             for t in (seq.coeffs,) if unit_led is None else (seq.coeffs, unit_led[1]):
                 hit = _forced(n, t)
@@ -204,7 +204,7 @@ def test_forced_is_none_exactly_on_the_split():
 
 def test_normal_branch_soundness():
     for n in range(5, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             out = classify(seq)
             if out.tag != TAG_NORMAL:
                 continue

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from conftest import oracle_minimal_zero_sum
+from conftest import min_zero_sum4_sequences, oracle_minimal_zero_sum
 from zsindex.certify import LIFTED, verify_certificate
-from zsindex.enumeration import iter_min_zero_sum4
 from zsindex.subgroup import lift_witness, try_subgroup_reduce
 from zsindex.zseq import Sequence, index, is_minimal_zero_sum, make_sequence
 
@@ -30,7 +29,7 @@ def test_degenerate_subgroup_cannot_occur():
     for n in (4, 6, 8, 10, 12):
         assert not is_minimal_zero_sum(Sequence(n, (n // 2,) * 4))
     for n in range(6, 41):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is not None:
                 assert r.reduced.n >= 3
@@ -64,13 +63,13 @@ def test_lift_rejects_non_witnesses():
 def test_minimality_transfers_both_ways():
     # downward: every reducible minimal sequence reduces to a minimal one
     for n in range(6, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is not None:
                 assert oracle_minimal_zero_sum(r.reduced.n, r.reduced.coeffs)
     # upward: multiplying a minimal sequence by d stays minimal over d*n
     for n_sub in range(3, 16):
-        for seq in iter_min_zero_sum4(n_sub):
+        for seq in min_zero_sum4_sequences(n_sub):
             for d in (2, 3, 5):
                 big = Sequence(d * n_sub, tuple(d * x for x in seq.coeffs))
                 assert is_minimal_zero_sum(big)
@@ -80,7 +79,7 @@ def test_minimality_transfers_both_ways():
 
 def test_lift_soundness_for_every_reducible_sequence():
     for n in range(6, 61):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is None:
                 continue
@@ -95,7 +94,7 @@ def test_lift_soundness_for_every_reducible_sequence():
 
 def test_index_agrees_across_reduction():
     for n in (20, 28, 45, 50):
-        for seq in iter_min_zero_sum4(n):
+        for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is not None:
                 assert index(seq).value == index(r.reduced).value
