@@ -37,7 +37,7 @@ from .certify import (
     small_a_certificate,
     verify_certificate,
 )
-from .subgroup import SubgroupReduction, lift_witness, try_subgroup_reduce
+from .subgroup import lift_witness, try_subgroup_reduce
 from .harness import (
     VerificationReport,
     find_counterexample,
@@ -58,7 +58,6 @@ __all__ = [
     "ReductionOutcome",
     "Sequence",
     "ShapeStats",
-    "SubgroupReduction",
     "VerificationReport",
     "classify",
     "find_certificate",

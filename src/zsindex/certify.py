@@ -351,14 +351,14 @@ def _majority_small_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
 def _lifted_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     from .subgroup import lift_witness, try_subgroup_reduce  # local import, avoids a cycle
 
-    reduction = try_subgroup_reduce(seq)
-    if reduction is None:
+    reduced = try_subgroup_reduce(seq)
+    if reduced is None:
         return None, "not reducible"
-    note = f"d={reduction.d} reduced modulus={reduction.reduced.n}"
-    sub = find_certificate(reduction.reduced)
+    note = f"d={seq.n // reduced.n} reduced modulus={reduced.n}"
+    sub = find_certificate(reduced)
     if not isinstance(sub, Certificate):
         return None, f"{note}, reduced sequence has no certificate"
-    return lift_witness(reduction, sub.m), f"{note}, reduced by {sub.derivation} m={sub.m}"
+    return lift_witness(seq, reduced, sub.m), f"{note}, reduced by {sub.derivation} m={sub.m}"
 
 
 def _brute_force_stage(seq: Sequence, out: ReductionOutcome) -> _Step:

@@ -109,13 +109,6 @@ _SET_NF_N, _SET_A, _SET_B, _SET_C = slot_setters(NormalForm)
 _SET_TAG, _SET_FORCED, _SET_FORM, _SET_SCALING = slot_setters(ReductionOutcome)
 
 
-def _require_minimal4(seq: Sequence) -> None:
-    if len(seq.coeffs) != 4:
-        raise ValueError("expected a length-4 sequence")
-    if not is_minimal_zero_sum(seq):
-        raise ValueError(f"{seq.coeffs} over {seq.n} is not minimal zero-sum")
-
-
 def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """The inverse m of the smallest unit coefficient and the sorted image m*coeffs.
 
@@ -162,9 +155,10 @@ def classify(seq: Sequence) -> ReductionOutcome:
     to opaque, because their would-be multipliers n-2 and 2 are not units.
     """
     n, coeffs = seq.n, seq.coeffs
-    # The quick test settles valid input; _require_minimal4 runs only to name the fault.
-    if len(coeffs) != 4 or not is_minimal_zero_sum(seq):
-        _require_minimal4(seq)
+    if len(coeffs) != 4:
+        raise ValueError("expected a length-4 sequence")
+    if not is_minimal_zero_sum(seq):
+        raise ValueError(f"{coeffs} over {n} is not minimal zero-sum")
     # ReductionOutcome(tag, forced_multiplier, normal_form, scaling), by position.
     hit = _forced(n, coeffs)
     if hit is not None:

@@ -162,13 +162,13 @@ def test_criterion_6_property_suites():
             if out.forced_multiplier is not None:
                 if weight(scale(seq, out.scaling), out.forced_multiplier) != n:
                     failures.append(f"forced multiplier failed at n={n} seq={seq.coeffs}")
-            reduction = try_subgroup_reduce(seq)
-            if reduction is not None:
-                if not is_minimal_zero_sum(reduction.reduced):
+            reduced = try_subgroup_reduce(seq)
+            if reduced is not None:
+                if not is_minimal_zero_sum(reduced):
                     failures.append(f"minimality lost in reduction at n={n} seq={seq.coeffs}")
-                sub = index(reduction.reduced)
+                sub = index(reduced)
                 if sub.value == 1:
-                    cert = lift_witness(reduction, sub.witness)
+                    cert = lift_witness(seq, reduced, sub.witness)
                     if not verify_certificate(seq, cert.m):
                         failures.append(f"lift unsound at n={n} seq={seq.coeffs}")
 

@@ -337,8 +337,8 @@ def test_a_failing_stage_is_an_internal_error_not_bad_input(monkeypatch):
 
 
 def test_pipeline_checks_each_sequence_once(monkeypatch):
-    """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked once per
-    classify call plus once per subgroup reduction, each find_certificate
+    """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked exactly once
+    per classify call and nowhere else, each find_certificate
     call (recursive ones included) makes one verify_certificate call, no
     (n, coeffs, m) weight check repeats within one top-level call, and
     shape_stats (whose k1 the pipeline does not need) is never called.
@@ -422,7 +422,7 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
     assert calls["classify"] >= sequences
     assert calls["find_certificate"] > sequences  # recursion through subgroup reduction
     assert calls["verify_certificate"] == calls["find_certificate"]
-    assert calls["is_minimal_zero_sum"] <= calls["classify"] + calls["try_subgroup_reduce"]
+    assert calls["is_minimal_zero_sum"] == calls["classify"]
     assert repeats == []
     assert calls["shape_stats"] == 0
     assert calls["nu"] == calls["scale"] == calls["make_sequence"] == 0

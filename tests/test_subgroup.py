@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,54 +11,80 @@ from zsindex.zseq import Sequence, index, is_minimal_zero_sum, make_sequence
 
 def test_reduce_examples():
     r = try_subgroup_reduce(make_sequence(35, [5, 5, 5, 20]))
-    assert r is not None
-    assert r.d == 5 and r.reduced.n == 7 and r.reduced.coeffs == (1, 1, 1, 4)
-    assert is_minimal_zero_sum(r.reduced)
+    assert r == Sequence(7, (1, 1, 1, 4))
+    assert is_minimal_zero_sum(r)
 
     assert try_subgroup_reduce(make_sequence(175, [5, 77, 133, 135])) is None
 
     r = try_subgroup_reduce(make_sequence(35, [5, 5, 10, 15]))
-    assert r is not None
-    assert r.d == 5 and r.reduced.coeffs == (1, 1, 2, 3)
-    assert oracle_minimal_zero_sum(7, r.reduced.coeffs)
+    assert r == Sequence(7, (1, 1, 2, 3))
+    assert oracle_minimal_zero_sum(7, r.coeffs)
 
 
 def test_degenerate_subgroup_cannot_occur():
     # A reduction to modulus 2 would need all coefficients equal to n/2, but
     # then any pair already sums to zero, and modulus 1 would need them all 0;
-    # so every reduction of a minimal sequence lands on n/d >= 3 unguarded.
+    # so every reduction of a minimal sequence lands on n/d >= 3.
     for n in (4, 6, 8, 10, 12):
         assert not is_minimal_zero_sum(Sequence(n, (n // 2,) * 4))
     for n in range(6, 41):
         for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is not None:
-                assert r.reduced.n >= 3
+                assert r.n >= 3
+
+
+def test_reduction_contract_on_every_sorted_tuple():
+    """Any sorted 4-tuple, minimal or not: d = gcd(n, x1..x4) is divided out
+    exactly, Sequence rejects n/d < 3, zero sum and minimality agree between
+    input and output, and a reduced witness of index 1 lifts to seq."""
+    for n in range(3, 25):
+        for coeffs in combinations_with_replacement(range(1, n), 4):
+            seq = Sequence(n, coeffs)
+            d = math.gcd(n, *coeffs)
+            if d == 1:
+                assert try_subgroup_reduce(seq) is None
+                continue
+            if n // d < 3:
+                with pytest.raises(ValueError, match="^modulus must be at least 3"):
+                    try_subgroup_reduce(seq)
+                continue
+            r = try_subgroup_reduce(seq)
+            assert r == Sequence(n // d, tuple(x // d for x in coeffs))
+            assert (sum(coeffs) % n == 0) == (sum(r.coeffs) % r.n == 0)
+            assert oracle_minimal_zero_sum(n, coeffs) == oracle_minimal_zero_sum(r.n, r.coeffs)
+            sub = index(r)
+            if sub.value == 1:
+                cert = lift_witness(seq, r, sub.witness)
+                assert cert.derivation == LIFTED
+                assert verify_certificate(seq, cert.m)
 
 
 def test_lift_examples():
-    r = try_subgroup_reduce(make_sequence(35, [5, 5, 5, 20]))
-    cert = lift_witness(r, 1)
+    seq = make_sequence(35, [5, 5, 5, 20])
+    cert = lift_witness(seq, try_subgroup_reduce(seq), 1)
     assert cert.m == 1 and cert.derivation == LIFTED
 
-    r = try_subgroup_reduce(make_sequence(35, [5, 5, 10, 15]))
-    cert = lift_witness(r, 1)
+    seq = make_sequence(35, [5, 5, 10, 15])
+    cert = lift_witness(seq, try_subgroup_reduce(seq), 1)
     assert cert.m == 1
 
     # a reduced witness that shares a factor with the big modulus forces t >= 1
-    r = try_subgroup_reduce(make_sequence(55, [5, 25, 35, 45]))
-    assert r.d == 5 and r.reduced.coeffs == (1, 5, 7, 9)
-    cert = lift_witness(r, 5)
+    seq = make_sequence(55, [5, 25, 35, 45])
+    r = try_subgroup_reduce(seq)
+    assert r == Sequence(11, (1, 5, 7, 9))
+    cert = lift_witness(seq, r, 5)
     assert cert.m == 5 + 11 == 16
-    assert verify_certificate(make_sequence(55, [5, 25, 35, 45]), 16)
+    assert verify_certificate(seq, 16)
 
 
 def test_lift_rejects_non_witnesses():
-    r = try_subgroup_reduce(make_sequence(35, [5, 5, 5, 20]))
+    seq = make_sequence(35, [5, 5, 5, 20])
+    r = try_subgroup_reduce(seq)
     with pytest.raises(ValueError):
-        lift_witness(r, 7)  # not a unit mod 7
+        lift_witness(seq, r, 7)  # not a unit mod 7
     with pytest.raises(ValueError):
-        lift_witness(r, 3)  # unit, but weight is 3+3+3+5 = 14, not 7
+        lift_witness(seq, r, 3)  # unit, but weight is 3+3+3+5 = 14, not 7
 
 
 def test_minimality_transfers_both_ways():
@@ -66,7 +93,7 @@ def test_minimality_transfers_both_ways():
         for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is not None:
-                assert oracle_minimal_zero_sum(r.reduced.n, r.reduced.coeffs)
+                assert oracle_minimal_zero_sum(r.n, r.coeffs)
     # upward: multiplying a minimal sequence by d stays minimal over d*n
     for n_sub in range(3, 16):
         for seq in min_zero_sum4_sequences(n_sub):
@@ -74,7 +101,7 @@ def test_minimality_transfers_both_ways():
                 big = Sequence(d * n_sub, tuple(d * x for x in seq.coeffs))
                 assert is_minimal_zero_sum(big)
                 r = try_subgroup_reduce(big)
-                assert r is not None and r.d % d == 0
+                assert r is not None and (d * n_sub // r.n) % d == 0
 
 
 def test_lift_soundness_for_every_reducible_sequence():
@@ -83,13 +110,13 @@ def test_lift_soundness_for_every_reducible_sequence():
             r = try_subgroup_reduce(seq)
             if r is None:
                 continue
-            sub = index(r.reduced)
+            sub = index(r)
             if sub.value != 1:
                 continue  # nothing to lift
-            cert = lift_witness(r, sub.witness)
+            cert = lift_witness(seq, r, sub.witness)
             assert verify_certificate(seq, cert.m)
             # the scan stays within d shifts
-            assert (cert.m - sub.witness % r.reduced.n) // r.reduced.n < r.d
+            assert (cert.m - sub.witness % r.n) // r.n < n // r.n
 
 
 def test_index_agrees_across_reduction():
@@ -97,4 +124,4 @@ def test_index_agrees_across_reduction():
         for seq in min_zero_sum4_sequences(n):
             r = try_subgroup_reduce(seq)
             if r is not None:
-                assert index(seq).value == index(r.reduced).value
+                assert index(seq).value == index(r).value

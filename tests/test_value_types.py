@@ -38,7 +38,6 @@ from zsindex import (
     make_sequence,
     normal_form_sequence,
     shape_stats,
-    try_subgroup_reduce,
 )
 from zsindex.harness import verify_modulus
 
@@ -55,7 +54,6 @@ VALUES = {
     "Certificate": lambda: find_certificate(make_sequence(13, [1, 5, 10, 10])),
     "CounterexampleReport": lambda: find_certificate(make_sequence(8, [1, 4, 5, 6])),
     "ShapeStats": lambda: shape_stats(_FORM),
-    "SubgroupReduction": lambda: try_subgroup_reduce(make_sequence(25, [5, 5, 5, 10])),
     "VerificationReport": lambda: verify_modulus(8, "full"),
 }
 
