@@ -22,7 +22,7 @@ from .zseq import (
     weight,
 )
 from .enumeration import OrbitRep, iter_min_zero_sum4, iter_orbit_reps
-from .normalform import NormalForm, ReductionOutcome, classify, normal_form_sequence
+from .normalform import ModulusCache, NormalForm, ReductionOutcome, classify, normal_form_sequence
 from .certify import (
     Certificate,
     CertificateMiss,
@@ -53,6 +53,7 @@ __all__ = [
     "CertificateMiss",
     "CounterexampleReport",
     "IndexResult",
+    "ModulusCache",
     "NormalForm",
     "OrbitRep",
     "ReductionOutcome",

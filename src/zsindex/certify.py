@@ -15,7 +15,7 @@ form (a, b, c) the searches are, in pipeline order:
 
 The searches return multipliers, not certificates.  The last two give an
 intermediate M under which at least three scaled coefficients drop below
-n/2, and `finalize` reads the finishing factor off classify's forced ladder.
+n/2, and the finishing factor is read off classify's forced ladder.
 `find_certificate` makes one `Certificate` per call, against its own input.
 What the searches miss falls through to subgroup reduction and finally to
 the brute-force index scan, which is the oracle of record.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .normalform import NormalForm, ReductionOutcome, _forced, classify
+from .normalform import ModulusCache, NormalForm, ReductionOutcome, _forced, classify
 from .zseq import IndexResult, Sequence, index, slot_setters, weight
 
 __all__ = [
@@ -186,7 +186,7 @@ def search_majority_small(nf: NormalForm) -> int | None:
     |Ma|_n > n/2, |Mb|_n > n/2, |Mc|_n < n/2 hold.
 
     Any such M leaves at least three of the four scaled coefficients of the
-    normal-form sequence below n/2; finalize turns that into a certificate.
+    normal-form sequence below n/2; the forced ladder of that image finishes it.
     """
     n, a, b, c = nf.n, nf.a, nf.b, nf.c
     for cand in range(1, n // 2 + 1):
@@ -223,6 +223,14 @@ def search_half_interval(nf: NormalForm) -> int | None:
     return None
 
 
+def _finisher(n: int, coeffs: tuple[int, ...], mid: int) -> int | None:
+    """|f*mid|_n for the forced multiplier f of the sorted image of coeffs under mid, or None."""
+    hit = _forced(n, tuple(sorted(mid * x % n for x in coeffs)))
+    if hit is None or hit[1] is None:
+        return None
+    return hit[1] * mid % n
+
+
 def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
     """Finish an intermediate multiplier with the forced multiplier of its image.
 
@@ -238,10 +246,8 @@ def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
         raise ValueError(f"{mid} is not a unit modulo {n}")
     if len(coeffs) != 4 or sum(coeffs) % n != 0:
         raise ValueError(f"finalize needs a zero-sum length-4 sequence, got {coeffs} over {n}")
-    hit = _forced(n, tuple(sorted(mid * x % n for x in coeffs)))
-    if hit is None or hit[1] is None:
-        return None
-    return make_certificate(seq, hit[1] * mid % n, derivation)
+    m = _finisher(n, coeffs, mid)
+    return None if m is None else make_certificate(seq, m, derivation)
 
 
 def small_a_certificate(nf: NormalForm) -> int:
@@ -293,62 +299,57 @@ def _on_input(
     return make_certificate(seq, m * scaling % seq.n, derivation, k if scaling == 1 else None)
 
 
-# A stage takes the sequence and its classification and returns None when
-# it does not apply, or (verdict, note): verdict is a Certificate for seq,
-# a CounterexampleReport (brute force only) or None for a miss, and note
-# is extra detail for the trace.
-_Step = tuple[Certificate | CounterexampleReport | None, str] | None
+# A form stage takes the normal form of the classified copy and returns
+# None when it does not apply, or (m, k, note): m certifies the form's
+# sequence (1, c, n-b, n-a), or is None on a miss; k is the interval index
+# or None; note is extra detail for the trace.  Its answer depends on the
+# form alone, so find_certificate can keep it for a whole modulus.
+_FormStep = tuple[int | None, int | None, str] | None
 
 
-def _forced_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    if out.forced_multiplier is None:
-        return None
-    return _on_input(seq, out, out.forced_multiplier, FORCED), ""
-
-
-def _small_a_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    nf = out.normal_form
-    if nf is None or nf.a != 2 or nf.n % 2 == 0:
+def _small_a_stage(nf: NormalForm) -> _FormStep:
+    if nf.a != 2 or nf.n % 2 == 0:
         return None
     try:
-        m = small_a_certificate(nf)
+        return small_a_certificate(nf), None, ""
     except CertificateMiss as miss:
-        return None, str(miss)
-    return _on_input(seq, out, m, SMALL_A), ""
+        return None, None, str(miss)
 
 
-def _interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    if out.normal_form is None:
-        return None
-    hit = search_interval(out.normal_form)
+def _interval_stage(nf: NormalForm) -> _FormStep:
+    hit = search_interval(nf)
     if hit is None:
-        return None, ""
+        return None, None, ""
     k, m = hit
-    return _on_input(seq, out, m, INTERVAL, k), ""
+    return m, k, ""
 
 
-def _finish(seq: Sequence, out: ReductionOutcome, mid: int | None, derivation: str) -> _Step:
-    """Finish the copy's intermediate multiplier on seq itself, through |mid*scaling|_n."""
+def _finish(nf: NormalForm, mid: int | None) -> _FormStep:
+    """Finish an intermediate multiplier of the form's sequence through the forced ladder."""
     if mid is None:
-        return None, ""
-    cert = finalize(seq, mid * out.scaling % seq.n, derivation)
-    return cert, f"M={mid}" if cert is not None else f"M={mid}, no finisher certified"
+        return None, None, ""
+    n = nf.n
+    m = _finisher(n, (1, nf.c, n - nf.b, n - nf.a), mid)
+    return m, None, f"M={mid}" if m is not None else f"M={mid}, no finisher certified"
 
 
-def _half_interval_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    nf = out.normal_form
-    if nf is None or nf.b // nf.a < 2:
+def _half_interval_stage(nf: NormalForm) -> _FormStep:
+    if nf.b // nf.a < 2:
         return None
-    return _finish(seq, out, search_half_interval(nf), HALF_INTERVAL)
+    return _finish(nf, search_half_interval(nf))
 
 
-def _majority_small_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
-    if out.normal_form is None:
-        return None
-    return _finish(seq, out, search_majority_small(out.normal_form), MAJORITY_SMALL)
+def _majority_small_stage(nf: NormalForm) -> _FormStep:
+    return _finish(nf, search_majority_small(nf))
 
 
-def _lifted_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+# An input stage takes the sequence itself and returns (verdict, note):
+# verdict is a Certificate for seq, a CounterexampleReport (brute force
+# only) or None for a miss.  These are never cached.
+_Step = tuple[Certificate | CounterexampleReport | None, str]
+
+
+def _lifted_stage(seq: Sequence) -> _Step:
     from .subgroup import lift_witness, try_subgroup_reduce  # local import, avoids a cycle
 
     reduced = try_subgroup_reduce(seq)
@@ -361,27 +362,31 @@ def _lifted_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
     return lift_witness(seq, reduced, sub.m), f"{note}, reduced by {sub.derivation} m={sub.m}"
 
 
-def _brute_force_stage(seq: Sequence, out: ReductionOutcome) -> _Step:
+def _brute_force_stage(seq: Sequence) -> _Step:
     result = index(seq)
     if result.value == 1:
         return make_certificate(seq, result.witness, BRUTE_FORCE), ""
     return CounterexampleReport(sequence=seq, result=result), ""
 
 
-# (name, stage): the pipeline in order.  Every stage answers for seq
-# itself; brute force always decides.
-_STAGES = (
-    (FORCED, _forced_stage),
+# (name, stage): the pipeline in order, after the forced multiplier that
+# classify names.  The form stages run on a normal form; the input stages
+# answer for seq itself, and brute force always decides.
+_FORM_STAGES = (
     (SMALL_A, _small_a_stage),
     (INTERVAL, _interval_stage),
     (HALF_INTERVAL, _half_interval_stage),
     (MAJORITY_SMALL, _majority_small_stage),
+)
+_INPUT_STAGES = (
     (LIFTED, _lifted_stage),
     (BRUTE_FORCE, _brute_force_stage),
 )
 
-# The derivation tags a Certificate may carry: the stage table's names.
-DERIVATIONS = frozenset(name for name, _ in _STAGES)
+# The derivation tags a Certificate may carry: forced and the stage tables' names.
+DERIVATIONS = frozenset((FORCED, *(name for name, _ in _FORM_STAGES + _INPUT_STAGES)))
+
+_UNSEEN = object()  # a form not yet in ModulusCache.forms
 
 
 def _classify_line(out: ReductionOutcome) -> str:
@@ -405,34 +410,86 @@ def _stage_line(
     return f"{name}: {text}" + (f" ({note})" if note else "")
 
 
+def _failure(name: str, seq: Sequence, exc: ValueError) -> AssertionError:
+    return AssertionError(f"{name} stage failed on {seq.coeffs} over {seq.n}: {exc}")
+
+
+def _search_form(
+    seq: Sequence, nf: NormalForm, trace: list[str] | None
+) -> tuple[str, int, int | None, str] | None:
+    """The first form stage that certifies nf's sequence, as (name, m, k, note), or None.
+
+    Misses go to `trace`; seq only names the input in a stage's failure.
+    """
+    for name, stage in _FORM_STAGES:
+        try:
+            step = stage(nf)
+        except ValueError as exc:
+            raise _failure(name, seq, exc) from exc
+        if step is None:
+            continue
+        m, k, note = step
+        if m is not None:
+            return name, m, k, note
+        if trace is not None:
+            trace.append(_stage_line(name, None, note))
+    return None
+
+
 def find_certificate(
-    seq: Sequence, trace: list[str] | None = None
+    seq: Sequence, trace: list[str] | None = None, cache: ModulusCache | None = None
 ) -> Certificate | CounterexampleReport:
     """Run the full certificate pipeline on a minimal zero-sum length-4 sequence.
 
-    Stage order (cheapest first): forced multiplier from classification,
+    Stage order (cheapest first): the forced multiplier from classification,
     then on a normal form the a=2 construction, the interval search, the
-    half-interval and majority-small searches (each finished through
-    `finalize`), then subgroup reduction with witness lifting, and finally
-    the brute-force scan.  The first stage that decides wins.  A
+    half-interval and majority-small searches (each finished through the
+    forced ladder), then subgroup reduction with witness lifting, and
+    finally the brute-force scan.  The first stage that decides wins.  A
     counterexample is a value, not an error.  ValueError means classify
     rejected seq as bad input; once seq is accepted, a stage's ValueError
     is the pipeline's fault, raised as AssertionError naming the stage.
     With `trace`, one line is appended for the classification and one per
     stage attempted, each prefixed with the stage name.
+
+    A `cache` for seq's modulus goes to classify, and keeps each normal
+    form's outcome over the four form stages: the first hit's name,
+    multiplier and k, or that all missed.  Full mode over 5..120 (coprime
+    to 6) keeps 11,120 forms in all.  Lifted, brute-force and counterexample
+    outcomes depend on seq itself and are never kept, and a traced call
+    bypasses the cache.  Either way the certificate is made and checked
+    against seq on every call, so the result equals an uncached call's.
     """
-    out = classify(seq)
+    if trace is not None:
+        cache = None
+    out = classify(seq, cache)
     if trace is not None:
         trace.append(_classify_line(out))
-    for name, stage in _STAGES:
+    nf = out.normal_form
+    if out.forced_multiplier is not None:
+        found = FORCED, out.forced_multiplier, None, ""
+    elif nf is None:
+        found = None
+    elif cache is None:
+        found = _search_form(seq, nf, trace)
+    else:
+        found = cache.forms.get(nf, _UNSEEN)
+        if found is _UNSEEN:
+            found = cache.forms[nf] = _search_form(seq, nf, None)
+    if found is not None:
+        name, m, k, note = found
         try:
-            step = stage(seq, out)
+            cert = _on_input(seq, out, m, name, k)
         except ValueError as exc:
-            failure = f"{name} stage failed on {seq.coeffs} over {seq.n}: {exc}"
-            raise AssertionError(failure) from exc
-        if step is None:
-            continue
-        verdict, note = step
+            raise _failure(name, seq, exc) from exc
+        if trace is not None:
+            trace.append(_stage_line(name, cert, note))
+        return cert
+    for name, stage in _INPUT_STAGES:
+        try:
+            verdict, note = stage(seq)
+        except ValueError as exc:
+            raise _failure(name, seq, exc) from exc
         if trace is not None:
             trace.append(_stage_line(name, verdict, note))
         if verdict is not None:

@@ -11,6 +11,7 @@ from zsindex import certify
 from zsindex.certify import (
     BRUTE_FORCE,
     FORCED,
+    HALF_INTERVAL,
     INTERVAL,
     MAJORITY_SMALL,
     Certificate,
@@ -26,7 +27,7 @@ from zsindex.certify import (
     small_a_certificate,
     verify_certificate,
 )
-from zsindex.normalform import NormalForm, normal_form_sequence
+from zsindex.normalform import ModulusCache, NormalForm, normal_form_sequence
 from zsindex.zseq import Sequence, index, make_sequence, units, weight
 
 
@@ -58,7 +59,10 @@ def test_make_certificate_rejects_non_witnesses():
 def test_certificate_tags_are_the_stage_names():
     with pytest.raises(ValueError, match="unknown derivation tag 'bogus'"):
         Certificate(m=1, derivation="bogus")
-    for name, _ in certify._STAGES:
+    stages = [name for name, _ in certify._FORM_STAGES + certify._INPUT_STAGES]
+    assert certify.DERIVATIONS == {FORCED, *stages}
+    assert len(certify.DERIVATIONS) == 7
+    for name in certify.DERIVATIONS:
         assert Certificate(m=1, derivation=name).derivation == name
 
 
@@ -337,7 +341,8 @@ def test_a_failing_stage_is_an_internal_error_not_bad_input(monkeypatch):
 
 
 def test_pipeline_checks_each_sequence_once(monkeypatch):
-    """Over gcd(n, 6) = 1, 5 <= n <= 60: minimality is checked exactly once
+    """Over gcd(n, 6) = 1, 5 <= n <= 60, without and then with one
+    ModulusCache per modulus: minimality is checked exactly once
     per classify call and nowhere else, each find_certificate
     call (recursive ones included) makes one verify_certificate call, no
     (n, coeffs, m) weight check repeats within one top-level call, and
@@ -359,9 +364,9 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
 
     def counted(name):
         def wrapper_of(original):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
             return wrapper
 
@@ -407,27 +412,66 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
 
     monkeypatch.setattr(Sequence, "__init__", init)
 
-    sequences = 0
-    most_built = 0
-    for n in range(5, 61):
-        if math.gcd(n, 6) != 1:
-            continue
+    for cached in (False, True):
+        calls.clear()
+        sequences = 0
+        most_built = 0
+        for n in range(5, 61):
+            if math.gcd(n, 6) != 1:
+                continue
+            cache = ModulusCache(n) if cached else None
+            for seq in min_zero_sum4_sequences(n):
+                seen.clear()
+                built, reduced = calls["Sequence"], calls["reduced"]
+                certify.find_certificate(seq, cache=cache)
+                sequences += 1
+                if calls["reduced"] == reduced:
+                    most_built = max(most_built, calls["Sequence"] - built)
+        assert calls["classify"] >= sequences
+        assert calls["find_certificate"] > sequences  # recursion through subgroup reduction
+        assert calls["verify_certificate"] == calls["find_certificate"]
+        assert calls["is_minimal_zero_sum"] == calls["classify"]
+        assert repeats == []
+        assert calls["shape_stats"] == 0
+        assert calls["nu"] == calls["scale"] == calls["make_sequence"] == 0
+        assert calls["reduced"] > 0
+        assert most_built == 0
+
+
+def test_a_modulus_cache_changes_no_result_and_no_trace():
+    """For every minimal sequence with 3 <= n <= 60, one ModulusCache per
+    modulus gives find_certificate's uncached result: the same (m, k,
+    derivation), or the same counterexample, and the same trace lines."""
+    def key(outcome):
+        if isinstance(outcome, Certificate):
+            return outcome.m, outcome.k, outcome.derivation
+        return outcome.result.value, outcome.result.witness
+
+    derivations = Counter()
+    for n in range(3, 61):
+        cache = ModulusCache(n)
         for seq in min_zero_sum4_sequences(n):
-            seen.clear()
-            built, reduced = calls["Sequence"], calls["reduced"]
-            certify.find_certificate(seq)
-            sequences += 1
-            if calls["reduced"] == reduced:
-                most_built = max(most_built, calls["Sequence"] - built)
-    assert calls["classify"] >= sequences
-    assert calls["find_certificate"] > sequences  # recursion through subgroup reduction
-    assert calls["verify_certificate"] == calls["find_certificate"]
-    assert calls["is_minimal_zero_sum"] == calls["classify"]
-    assert repeats == []
-    assert calls["shape_stats"] == 0
-    assert calls["nu"] == calls["scale"] == calls["make_sequence"] == 0
-    assert calls["reduced"] > 0
-    assert most_built == 0
+            plain, traced = [], []
+            expected = key(find_certificate(seq, plain))
+            assert key(find_certificate(seq)) == expected, seq
+            assert key(find_certificate(seq, cache=cache)) == expected, seq
+            assert key(find_certificate(seq, traced, cache)) == expected, seq
+            assert traced == plain, seq
+            derivations[expected[-1] if len(expected) == 3 else "counterexample"] += 1
+    # Every path is exercised, the cache-free ones included, but half_interval,
+    # which certifies no sequence in this range.
+    assert set(derivations) == certify.DERIVATIONS - {HALF_INTERVAL} | {"counterexample"}
+    assert 0 < len(cache.forms) < len(cache.copies)
+
+
+def test_a_cache_serves_one_modulus():
+    cache = ModulusCache(25)
+    assert cache.inverses[:5] == [0, 1, 13, 17, 19]
+    assert cache.inverses[5] == cache.inverses[10] == 0
+    with pytest.raises(ValueError, match="cache for modulus 25"):
+        find_certificate(make_sequence(35, [1, 4, 12, 18]), cache=cache)
+    with pytest.raises(ValueError):
+        ModulusCache(2)
 
 
 def test_find_certificate_agrees_with_oracle_everywhere():

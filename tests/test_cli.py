@@ -258,6 +258,16 @@ def test_a_closed_stdout_in_process_leaves_stdout_alone(monkeypatch, capsys):
     assert capsys.readouterr().out == "still writable\n"
 
 
+def test_verify_filter_all_report_is_pinned(capsys):
+    """Every modulus in 5..40: even n, opaque sequences, lifting, brute force
+    and counterexamples, the paths the coprime6 pins never reach."""
+    code, out = run(capsys, ["verify", "--from", "5", "--to", "40", "--filter", "all", "--mode", "full", "--jobs", "1"])
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bc0e73428b3cda0d7545da93e7f63e96f771510c51e6717124ab79eb83cb7657"
+    )
+
+
 # The verify reports the benchmark pins: "--from A --to B --filter coprime6
 # --mode M" -> sha256 of standard output under --jobs 1, and exit code.
 PINNED = json.loads(
