@@ -13,12 +13,13 @@ form (a, b, c) the searches are, in pipeline order:
   majority_small   M <= n/2 coprime to n with at least two of
                    |Ma|_n > n/2, |Mb|_n > n/2, |Mc|_n < n/2
 
-The searches return multipliers, not certificates.  The last two give an
-intermediate M under which at least three scaled coefficients drop below
-n/2, and the finishing factor is read off classify's forced ladder.
-`find_certificate` makes one `Certificate` per call, against its own input.
-What the searches miss falls through to subgroup reduction and finally to
-the brute-force index scan, which is the oracle of record.
+Every stage returns a multiplier, not a certificate.  The last two
+searches give an intermediate M under which at least three scaled
+coefficients drop below n/2, and the finishing factor is read off
+classify's forced ladder.  What they miss falls through to subgroup
+reduction, which lifts a multiplier, and finally to the brute-force
+index scan, the oracle of record.  `find_certificate` makes each call's
+one `Certificate` in one place, against its own input.
 
 All interval comparisons are cross-multiplied integer comparisons; no
 floating point anywhere.
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .normalform import ModulusCache, NormalForm, ReductionOutcome, _forced, classify
+from .subgroup import lift_witness, try_subgroup_reduce
 from .zseq import IndexResult, Sequence, index, slot_setters, weight
 
 __all__ = [
@@ -287,27 +289,17 @@ def small_a_certificate(nf: NormalForm) -> int:
     )
 
 
-def _on_input(
-    seq: Sequence, out: ReductionOutcome, m: int, derivation: str, k: int | None = None
-) -> Certificate:
-    """The certificate for seq from a multiplier m of the classified copy scale(seq, scaling).
-
-    seq's multiplier is |m*scaling|_n.  k is kept only when scaling is 1: on
-    any other copy it no longer satisfies the k-interval inequalities.
-    """
-    scaling = out.scaling
-    return make_certificate(seq, m * scaling % seq.n, derivation, k if scaling == 1 else None)
+# A stage takes what its table is given, the normal form of the classified
+# copy for a form stage and seq itself for an input stage, and returns None
+# when it does not apply, or (m, k, note).  m is a multiplier for what the
+# stage was given (the form's sequence (1, c, n-b, n-a), or seq), None on a
+# miss, or brute force's CounterexampleReport; k is the interval index or
+# None; note is extra detail for the trace.  A form stage's answer depends
+# on the form alone, so find_certificate can keep it for a whole modulus.
+_Step = tuple[int | CounterexampleReport | None, int | None, str] | None
 
 
-# A form stage takes the normal form of the classified copy and returns
-# None when it does not apply, or (m, k, note): m certifies the form's
-# sequence (1, c, n-b, n-a), or is None on a miss; k is the interval index
-# or None; note is extra detail for the trace.  Its answer depends on the
-# form alone, so find_certificate can keep it for a whole modulus.
-_FormStep = tuple[int | None, int | None, str] | None
-
-
-def _small_a_stage(nf: NormalForm) -> _FormStep:
+def _small_a_stage(nf: NormalForm) -> _Step:
     if nf.a != 2 or nf.n % 2 == 0:
         return None
     try:
@@ -316,7 +308,7 @@ def _small_a_stage(nf: NormalForm) -> _FormStep:
         return None, None, str(miss)
 
 
-def _interval_stage(nf: NormalForm) -> _FormStep:
+def _interval_stage(nf: NormalForm) -> _Step:
     hit = search_interval(nf)
     if hit is None:
         return None, None, ""
@@ -324,7 +316,7 @@ def _interval_stage(nf: NormalForm) -> _FormStep:
     return m, k, ""
 
 
-def _finish(nf: NormalForm, mid: int | None) -> _FormStep:
+def _finish(nf: NormalForm, mid: int | None) -> _Step:
     """Finish an intermediate multiplier of the form's sequence through the forced ladder."""
     if mid is None:
         return None, None, ""
@@ -333,45 +325,37 @@ def _finish(nf: NormalForm, mid: int | None) -> _FormStep:
     return m, None, f"M={mid}" if m is not None else f"M={mid}, no finisher certified"
 
 
-def _half_interval_stage(nf: NormalForm) -> _FormStep:
+def _half_interval_stage(nf: NormalForm) -> _Step:
     if nf.b // nf.a < 2:
         return None
     return _finish(nf, search_half_interval(nf))
 
 
-def _majority_small_stage(nf: NormalForm) -> _FormStep:
+def _majority_small_stage(nf: NormalForm) -> _Step:
     return _finish(nf, search_majority_small(nf))
 
 
-# An input stage takes the sequence itself and returns (verdict, note):
-# verdict is a Certificate for seq, a CounterexampleReport (brute force
-# only) or None for a miss.  These are never cached.
-_Step = tuple[Certificate | CounterexampleReport | None, str]
-
-
 def _lifted_stage(seq: Sequence) -> _Step:
-    from .subgroup import lift_witness, try_subgroup_reduce  # local import, avoids a cycle
-
     reduced = try_subgroup_reduce(seq)
     if reduced is None:
-        return None, "not reducible"
+        return None, None, "not reducible"
     note = f"d={seq.n // reduced.n} reduced modulus={reduced.n}"
     sub = find_certificate(reduced)
     if not isinstance(sub, Certificate):
-        return None, f"{note}, reduced sequence has no certificate"
-    return lift_witness(seq, reduced, sub.m), f"{note}, reduced by {sub.derivation} m={sub.m}"
+        return None, None, f"{note}, reduced sequence has no certificate"
+    return lift_witness(seq, reduced, sub.m), None, f"{note}, reduced by {sub.derivation} m={sub.m}"
 
 
 def _brute_force_stage(seq: Sequence) -> _Step:
     result = index(seq)
     if result.value == 1:
-        return make_certificate(seq, result.witness, BRUTE_FORCE), ""
-    return CounterexampleReport(sequence=seq, result=result), ""
+        return result.witness, None, ""
+    return CounterexampleReport(sequence=seq, result=result), None, ""
 
 
 # (name, stage): the pipeline in order, after the forced multiplier that
 # classify names.  The form stages run on a normal form; the input stages
-# answer for seq itself, and brute force always decides.
+# answer for seq itself, and brute force, the last, always decides.
 _FORM_STAGES = (
     (SMALL_A, _small_a_stage),
     (INTERVAL, _interval_stage),
@@ -414,16 +398,16 @@ def _failure(name: str, seq: Sequence, exc: ValueError) -> AssertionError:
     return AssertionError(f"{name} stage failed on {seq.coeffs} over {seq.n}: {exc}")
 
 
-def _search_form(
-    seq: Sequence, nf: NormalForm, trace: list[str] | None
-) -> tuple[str, int, int | None, str] | None:
-    """The first form stage that certifies nf's sequence, as (name, m, k, note), or None.
+def _first_hit(
+    stages: tuple, arg: NormalForm | Sequence, seq: Sequence, trace: list[str] | None
+) -> tuple[str, int | CounterexampleReport, int | None, str] | None:
+    """The first stage that decides arg, as (name, m, k, note), or None.
 
     Misses go to `trace`; seq only names the input in a stage's failure.
     """
-    for name, stage in _FORM_STAGES:
+    for name, stage in stages:
         try:
-            step = stage(nf)
+            step = stage(arg)
         except ValueError as exc:
             raise _failure(name, seq, exc) from exc
         if step is None:
@@ -445,53 +429,52 @@ def find_certificate(
     then on a normal form the a=2 construction, the interval search, the
     half-interval and majority-small searches (each finished through the
     forced ladder), then subgroup reduction with witness lifting, and
-    finally the brute-force scan.  The first stage that decides wins.  A
-    counterexample is a value, not an error.  ValueError means classify
-    rejected seq as bad input; once seq is accepted, a stage's ValueError
-    is the pipeline's fault, raised as AssertionError naming the stage.
-    With `trace`, one line is appended for the classification and one per
-    stage attempted, each prefixed with the stage name.
+    finally the brute-force scan.  The first stage that decides wins.  Every
+    stage returns a multiplier; the one `Certificate` is made and checked
+    against seq in one place.  A counterexample is a value, not an error.
+    ValueError means classify rejected seq as bad input; once seq is
+    accepted, a stage's ValueError is the pipeline's fault, raised as
+    AssertionError naming the stage.  With `trace`, one line is appended
+    for the classification and one per stage attempted, each prefixed with
+    the stage name.
 
     A `cache` for seq's modulus goes to classify, and keeps each normal
     form's outcome over the four form stages: the first hit's name,
     multiplier and k, or that all missed.  Full mode over 5..120 (coprime
     to 6) keeps 11,120 forms in all.  Lifted, brute-force and counterexample
     outcomes depend on seq itself and are never kept, and a traced call
-    bypasses the cache.  Either way the certificate is made and checked
-    against seq on every call, so the result equals an uncached call's.
+    neither reads nor fills the forms, so each stage it runs is traced.
+    Either way the result equals an uncached call's.
     """
-    if trace is not None:
-        cache = None
     out = classify(seq, cache)
     if trace is not None:
         trace.append(_classify_line(out))
     nf = out.normal_form
+    scaling = out.scaling
     if out.forced_multiplier is not None:
         found = FORCED, out.forced_multiplier, None, ""
     elif nf is None:
         found = None
-    elif cache is None:
-        found = _search_form(seq, nf, trace)
+    elif cache is None or trace is not None:
+        found = _first_hit(_FORM_STAGES, nf, seq, trace)
     else:
         found = cache.forms.get(nf, _UNSEEN)
         if found is _UNSEEN:
-            found = cache.forms[nf] = _search_form(seq, nf, None)
-    if found is not None:
-        name, m, k, note = found
+            found = cache.forms[nf] = _first_hit(_FORM_STAGES, nf, seq, None)
+    if found is None:
+        scaling = 1  # input stages answer for seq itself
+        found = _first_hit(_INPUT_STAGES, seq, seq, trace)
+    name, m, k, note = found
+    if isinstance(m, CounterexampleReport):
+        verdict = m
+    else:
+        # m is for the classified copy scale(seq, scaling), so seq's multiplier
+        # is |m*scaling|_n.  k is kept only when scaling is 1: on any other
+        # copy it no longer satisfies the k-interval inequalities.
         try:
-            cert = _on_input(seq, out, m, name, k)
+            verdict = make_certificate(seq, m * scaling % seq.n, name, k if scaling == 1 else None)
         except ValueError as exc:
             raise _failure(name, seq, exc) from exc
-        if trace is not None:
-            trace.append(_stage_line(name, cert, note))
-        return cert
-    for name, stage in _INPUT_STAGES:
-        try:
-            verdict, note = stage(seq)
-        except ValueError as exc:
-            raise _failure(name, seq, exc) from exc
-        if trace is not None:
-            trace.append(_stage_line(name, verdict, note))
-        if verdict is not None:
-            return verdict
-    raise AssertionError("unreachable: the brute-force stage always decides")
+    if trace is not None:
+        trace.append(_stage_line(name, verdict, note))
+    return verdict

@@ -3,7 +3,7 @@
 When d = gcd(n, x1, x2, x3, x4) exceeds 1 the sequence lives inside the
 subgroup of index d and reduces to (x1/d, ..., x4/d) over Z_{n/d}.  Every
 subset sum scales exactly by d, so zero sum and minimality carry over in
-both directions, whatever the input.  A certificate m for the reduced
+both directions, whatever the input.  A multiplier m for the reduced
 sequence lifts back by shifting in steps of n/d until the result is coprime
 to n, which takes fewer than d steps: for each prime p dividing d but not
 n/d the shift walks through all residue classes mod p, and the primes
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .certify import LIFTED, Certificate, make_certificate
 from .zseq import Sequence
 
 __all__ = ["lift_witness", "try_subgroup_reduce"]
@@ -34,23 +33,21 @@ def try_subgroup_reduce(seq: Sequence) -> Sequence | None:
     return Sequence(n // d, tuple(x // d for x in coeffs))
 
 
-def lift_witness(seq: Sequence, reduced: Sequence, m_sub: int) -> Certificate:
-    """Lift a certificate of `reduced`, seq divided by d = seq.n // reduced.n, to seq.
+def lift_witness(seq: Sequence, reduced: Sequence, m_sub: int) -> int:
+    """Lift a multiplier m_sub of `reduced`, seq divided by d = seq.n // reduced.n, to seq.
 
-    Precondition: m_sub is a unit mod n/d and certifies the reduced
-    sequence.  The lifted multiplier is m_sub + t*(n/d) for the first
-    t >= 0 making it coprime to n; since |m * d * y|_n = d * |m * y|_{n/d},
-    its weight against the original sequence is d * (n/d) = n.
+    The lift is m_sub + t*(n/d) for the first t >= 0 making it coprime to n.
+    Since |m * d * y|_n = d * |m * y|_{n/d}, seq's weight under the lift is
+    d times the reduced sequence's weight under m_sub, so the lift certifies
+    seq exactly when m_sub certifies the reduced sequence.  No weight is
+    checked here; ValueError unless m_sub is a unit mod n/d.
     """
     n, n_sub = seq.n, reduced.n
     if math.gcd(m_sub, n_sub) != 1:
         raise ValueError(f"{m_sub} is not a unit modulo {n_sub}")
-    # No weight check on the reduced sequence: the lift's weight is d times
-    # m_sub's weight there, so make_certificate below rejects any m_sub
-    # that does not certify it.
     base = m_sub % n_sub
     for t in range(n // n_sub):
         m = base + t * n_sub
         if math.gcd(m, n) == 1:
-            return make_certificate(seq, m, LIFTED)
+            return m
     raise AssertionError("unreachable: a coprime lift exists within d steps")

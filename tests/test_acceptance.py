@@ -168,8 +168,7 @@ def test_criterion_6_property_suites():
                     failures.append(f"minimality lost in reduction at n={n} seq={seq.coeffs}")
                 sub = index(reduced)
                 if sub.value == 1:
-                    cert = lift_witness(seq, reduced, sub.witness)
-                    if not verify_certificate(seq, cert.m):
+                    if not verify_certificate(seq, lift_witness(seq, reduced, sub.witness)):
                         failures.append(f"lift unsound at n={n} seq={seq.coeffs}")
 
     # 6d: the a=2 construction's contract over every normal form with odd

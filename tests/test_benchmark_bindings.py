@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from zsindex import NormalForm, find_certificate, normal_form_sequence
+from zsindex import NormalForm, find_certificate, make_sequence, normal_form_sequence
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -38,6 +38,20 @@ def test_every_traced_function_exists_in_the_package():
         if not callable(getattr(importlib.import_module(f"zsindex.{module}"), function, None))
     ]
     assert missing == []
+
+
+def test_the_tracer_sees_subgroup_reduction_inside_find_certificate():
+    """certify binds try_subgroup_reduce and lift_witness at import, so the
+    benchmark's subgroup spans need Tracer.install to patch that binding."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    with tr:
+        cert = find_certificate(make_sequence(50, [2, 22, 36, 40]))
+    assert cert.derivation == "lifted"
+    assert tr.calls["subgroup.try_subgroup_reduce"] == 1
+    assert tr.calls["subgroup.lift_witness"] == 1
 
 
 def test_every_name_the_worker_reads_exists_in_the_package():

@@ -468,8 +468,9 @@ def test_a_cache_serves_one_modulus():
     cache = ModulusCache(25)
     assert cache.inverses[:5] == [0, 1, 13, 17, 19]
     assert cache.inverses[5] == cache.inverses[10] == 0
-    with pytest.raises(ValueError, match="cache for modulus 25"):
-        find_certificate(make_sequence(35, [1, 4, 12, 18]), cache=cache)
+    for trace in (None, []):  # a traced call checks its cache too
+        with pytest.raises(ValueError, match="cache for modulus 25"):
+            find_certificate(make_sequence(35, [1, 4, 12, 18]), trace, cache)
     with pytest.raises(ValueError):
         ModulusCache(2)
 
