@@ -241,13 +241,13 @@ def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
     None when the ladder gives no multiplier: the image (nu = 2) splits
     strictly around n/2, where all four weigh 2n, or, for even n, any other
     nu = 2 image, where n-2 and 2 are not units.  ValueError unless mid is
-    a unit and seq zero-sum of length 4.
+    a unit and seq zero-sum.
     """
     n, coeffs = seq.n, seq.coeffs
     if math.gcd(mid, n) != 1:
         raise ValueError(f"{mid} is not a unit modulo {n}")
-    if len(coeffs) != 4 or sum(coeffs) % n != 0:
-        raise ValueError(f"finalize needs a zero-sum length-4 sequence, got {coeffs} over {n}")
+    if sum(coeffs) % n != 0:
+        raise ValueError(f"finalize needs a zero-sum sequence, got {coeffs} over {n}")
     m = _finisher(n, coeffs, mid)
     return None if m is None else make_certificate(seq, m, derivation)
 

@@ -18,10 +18,11 @@ and y2 < n/2 < y3 is recorded as the normal form
 which satisfies 1 + c = a + b and 1 < a <= b < c < n/2.  Everything else
 is opaque and handled downstream by subgroup reduction or brute force.
 
-`classify` checks its input once: length 4 and minimal zero-sum.  The
-helpers below it trust that check and work on plain tuples.  The ladder
-reads nu as sum // n, and the scaled tuple needs no check either, since
-scaling by a unit keeps every coefficient nonzero and the sum zero mod n.
+`classify` checks its input once: minimal zero-sum (`Sequence` checks the
+length).  The helpers below it trust that check and work on plain tuples.
+The ladder reads nu as sum // n, and the scaled tuple needs no check
+either, since scaling by a unit keeps every coefficient nonzero and the
+sum zero mod n.
 
 Many inputs over one modulus share a unit-leading copy.  A `ModulusCache`
 lets classify look up each unit's inverse and decide each copy once.
@@ -181,7 +182,7 @@ def _copy_outcome(n: int, scaled: tuple[int, ...]) -> tuple[str, int | None, Nor
 
 
 def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutcome:
-    """Classify a minimal zero-sum length-4 sequence per the reduction ladder.
+    """Classify a minimal zero-sum sequence per the reduction ladder.
 
     Total: every valid input lands in exactly one of the six outcomes.  Even
     moduli route the 2*x = n boundary and the even-forced-multiplier shapes
@@ -196,8 +197,6 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
     outcome is the one an uncached call returns.
     """
     n, coeffs = seq.n, seq.coeffs
-    if len(coeffs) != 4:
-        raise ValueError("expected a length-4 sequence")
     if not is_minimal_zero_sum(seq):
         raise ValueError(f"{coeffs} over {n} is not minimal zero-sum")
     if cache is not None and cache.n != n:

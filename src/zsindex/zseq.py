@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 __all__ = [
-    "MAX_LEN",
     "IndexResult",
     "Sequence",
     "check_modulus",
@@ -27,7 +26,6 @@ __all__ = [
     "weight",
 ]
 
-MAX_LEN = 8
 _ONE = Fraction(1)  # every index-1 result shares it; a Fraction is immutable
 
 
@@ -50,7 +48,7 @@ def units(n: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Sequence:
-    """A multiset of nonzero residues modulo n, stored as an ascending tuple."""
+    """Four nonzero residues modulo n, stored as an ascending tuple; the one length check."""
 
     n: int
     coeffs: tuple[int, ...]
@@ -60,10 +58,10 @@ class Sequence:
             check_modulus(n)
         if not isinstance(coeffs, tuple):
             raise ValueError(f"coefficients must be a tuple, got {type(coeffs).__name__}")
-        # One chained comparison settles length 4; the loop runs otherwise, or to name the fault.
+        # One chained comparison settles a valid input; the branch only names the fault.
         if len(coeffs) != 4 or not 1 <= coeffs[0] <= coeffs[1] <= coeffs[2] <= coeffs[3] < n:
-            if not 1 <= len(coeffs) <= MAX_LEN:
-                raise ValueError(f"sequence length must be in [1, {MAX_LEN}], got {len(coeffs)}")
+            if len(coeffs) != 4:
+                raise ValueError(f"expected a length-4 sequence, got length {len(coeffs)}")
             prev = 1
             for x in coeffs:
                 if not prev <= x < n:
@@ -105,7 +103,7 @@ def make_sequence(n: int, coeffs: list[int] | tuple[int, ...]) -> Sequence:
     """Build a sequence: reduce each entry to its least positive residue, sort ascending.
 
     Entries congruent to 0 mod n are rejected; a zero term would itself be a
-    zero-sum subsequence.
+    zero-sum subsequence.  Sequence checks the length.
     """
     check_modulus(n)
     reduced = []
@@ -123,28 +121,14 @@ def is_zero_sum(seq: Sequence) -> bool:
 
 
 def nu(seq: Sequence) -> int:
-    """The integer (sum of coefficients)/n of a zero-sum length-4 sequence.
+    """The integer (sum of coefficients)/n of a zero-sum sequence.
 
     Always 1, 2 or 3, since each of the four coefficients lies in [1, n-1].
     """
-    if len(seq.coeffs) != 4:
-        raise ValueError("nu is defined for length-4 sequences")
     total = sum(seq.coeffs)
     if total % seq.n != 0:
         raise ValueError("nu requires a zero-sum sequence")
     return total // seq.n
-
-
-def _proper_subsets_nonzero(n: int, coeffs: tuple[int, ...]) -> bool:
-    k = len(coeffs)
-    for mask in range(1, (1 << k) - 1):
-        s = 0
-        for i in range(k):
-            if mask >> i & 1:
-                s += coeffs[i]
-        if s % n == 0:
-            return False
-    return True
 
 
 def is_minimal_zero_sum(seq: Sequence) -> bool:
@@ -154,15 +138,13 @@ def is_minimal_zero_sum(seq: Sequence) -> bool:
     to 0.  Every term lies in [1, n-1], so no single term vanishes, and a
     zero 3-term sum would leave the fourth term 0; a zero pair forces its
     complementary pair to 0, and every pair is x1's or the complement of
-    one.  This is the package's one statement of length-4 minimality.
+    one.  Sequence has only length 4, so this is the whole rule.
     """
     n, coeffs = seq.n, seq.coeffs
     if sum(coeffs) % n != 0:
         return False
-    if len(coeffs) == 4:
-        x1, x2, x3, x4 = coeffs
-        return (x1 + x2) % n != 0 and (x1 + x3) % n != 0 and (x1 + x4) % n != 0
-    return _proper_subsets_nonzero(n, coeffs)
+    x1, x2, x3, x4 = coeffs
+    return (x1 + x2) % n != 0 and (x1 + x3) % n != 0 and (x1 + x4) % n != 0
 
 
 def weight(seq: Sequence, m: int) -> int:

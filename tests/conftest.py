@@ -95,15 +95,15 @@ def min_zero_sum4_sequences(n: int):
 def oracle_sequence_check(n, coeffs) -> None:
     """Raise the ValueError that Sequence(n, coeffs) must raise, or return None.
 
-    Sequence's checks as one per-coefficient loop on every tuple, without
-    its chained comparison for length 4.
+    Sequence's checks as a length test and then one per-coefficient loop,
+    without its chained comparison.
     """
     if n < 3:
         raise ValueError(f"modulus must be at least 3, got {n}")
     if not isinstance(coeffs, tuple):
         raise ValueError(f"coefficients must be a tuple, got {type(coeffs).__name__}")
-    if not 1 <= len(coeffs) <= 8:
-        raise ValueError(f"sequence length must be in [1, 8], got {len(coeffs)}")
+    if len(coeffs) != 4:
+        raise ValueError(f"expected a length-4 sequence, got length {len(coeffs)}")
     prev = 1
     for x in coeffs:
         if not prev <= x < n:

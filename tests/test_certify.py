@@ -241,8 +241,8 @@ def test_finalize_examples():
         finalize(make_sequence(25, [1, 5, 21, 23]), 10, "half_interval")  # 10 is no unit
     with pytest.raises(ValueError):
         finalize(make_sequence(25, [1, 5, 21, 22]), 11, "half_interval")  # not zero-sum
-    with pytest.raises(ValueError):
-        finalize(make_sequence(7, [1, 2, 4]), 1, "majority_small")  # length 3
+    with pytest.raises(ValueError, match="^expected a length-4 sequence, got length 3$"):
+        make_sequence(7, [1, 2, 4])  # never reaches finalize
 
 
 def test_finalize_matches_the_four_factor_trial_on_every_minimal_sequence_up_to_35():
@@ -320,8 +320,15 @@ def test_find_certificate_trace_names_the_stages():
     [(7, [1, 2, 4]), (7, [1, 2, 3, 4, 4]), (7, [1, 6, 1, 6]), (7, [1, 1, 1, 1])],
 )
 def test_find_certificate_rejects_non_minimal_and_non_length_4(n, coeffs):
-    with pytest.raises(ValueError):
-        find_certificate(make_sequence(n, coeffs))
+    # Another length never reaches find_certificate: make_sequence rejects it.
+    if len(coeffs) != 4:
+        with pytest.raises(ValueError, match="^expected a length-4 sequence, got length"):
+            make_sequence(n, coeffs)
+        return
+    # A valid Sequence that is not minimal zero-sum is classify's ValueError.
+    seq = make_sequence(n, coeffs)
+    with pytest.raises(ValueError, match="is not minimal zero-sum$"):
+        find_certificate(seq)
 
 
 def test_a_failing_stage_is_an_internal_error_not_bad_input(monkeypatch):
@@ -335,9 +342,10 @@ def test_a_failing_stage_is_an_internal_error_not_bad_input(monkeypatch):
     with pytest.raises(AssertionError, match=failure):
         find_certificate(make_sequence(50, [2, 22, 36, 40]))
     # Bad input is still classify's ValueError under the same patch.
-    for n, coeffs in [(7, [1, 6, 1, 6]), (7, [1, 2, 4])]:
-        with pytest.raises(ValueError):
-            find_certificate(make_sequence(n, coeffs))
+    for n, coeffs in [(7, [1, 6, 1, 6]), (7, [1, 1, 1, 1])]:
+        seq = make_sequence(n, coeffs)
+        with pytest.raises(ValueError, match="is not minimal zero-sum$"):
+            find_certificate(seq)
 
 
 def test_pipeline_checks_each_sequence_once(monkeypatch):

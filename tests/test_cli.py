@@ -157,6 +157,16 @@ def test_verify_offers_only_full_and_orbit_modes(capsys):
 def test_invalid_sequence_reports_error(capsys):
     code = main(["index", "--n", "10", "--seq", "5,5,10,1"])
     assert code == 2  # zero class rejected
+    # Only length 4 is a sequence; index and witness say so on stderr alone.
+    for argv, length in [
+        (["index", "--n", "7", "--seq", "1,2,4"], 3),
+        (["witness", "--n", "7", "--seq", "1,2,3,4,4"], 5),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expected a length-4 sequence, got length {length}\n"
 
 
 def test_verify_exits_three_when_pipeline_and_oracle_disagree(monkeypatch, capsys):

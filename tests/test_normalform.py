@@ -99,10 +99,11 @@ def test_classify_rejects_invalid_input():
         classify(make_sequence(5, [1, 2, 3, 4]))
     with pytest.raises(ValueError, match=r"^\(1, 1, 1, 1\) over 7 is not minimal zero-sum$"):
         classify(make_sequence(7, [1, 1, 1, 1]))  # not even zero-sum
-    with pytest.raises(ValueError, match="^expected a length-4 sequence$"):
-        classify(make_sequence(7, [1, 2, 4]))  # minimal zero-sum, but length 3
-    with pytest.raises(ValueError, match="^expected a length-4 sequence$"):
-        classify(make_sequence(5, [1, 4]))
+    # Other lengths never reach classify: Sequence rejects them.
+    with pytest.raises(ValueError, match="^expected a length-4 sequence, got length 3$"):
+        make_sequence(7, [1, 2, 4])  # minimal zero-sum, but length 3
+    with pytest.raises(ValueError, match="^expected a length-4 sequence, got length 2$"):
+        make_sequence(5, [1, 4])
 
 
 def test_normal_form_sequence_examples():
