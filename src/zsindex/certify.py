@@ -291,11 +291,12 @@ def small_a_certificate(nf: NormalForm) -> int:
 
 # A stage takes what its table is given, the normal form of the classified
 # copy for a form stage and seq itself for an input stage, and returns None
-# when it does not apply, or (m, k, note).  m is a multiplier for what the
-# stage was given (the form's sequence (1, c, n-b, n-a), or seq), None on a
-# miss, or brute force's CounterexampleReport; k is the interval index or
-# None; note is extra detail for the trace.  A form stage's answer depends
-# on the form alone, so find_certificate can keep it for a whole modulus.
+# when it does not apply, or (m, k, note).  _walk turns each answer into a
+# row (name, m, k, note): m is a multiplier for what the stage was given
+# (the form's sequence (1, c, n-b, n-a), or seq), None on a miss, or brute
+# force's CounterexampleReport; k is the interval index or None; note is
+# extra detail for the trace.  A form's rows depend on the form alone, so
+# a ModulusCache keeps them, misses included, for a whole modulus.
 _Step = tuple[int | CounterexampleReport | None, int | None, str] | None
 
 
@@ -370,8 +371,6 @@ _INPUT_STAGES = (
 # The derivation tags a Certificate may carry: forced and the stage tables' names.
 DERIVATIONS = frozenset((FORCED, *(name for name, _ in _FORM_STAGES + _INPUT_STAGES)))
 
-_UNSEEN = object()  # a form not yet in ModulusCache.forms
-
 
 def _classify_line(out: ReductionOutcome) -> str:
     nf = out.normal_form
@@ -398,26 +397,22 @@ def _failure(name: str, seq: Sequence, exc: ValueError) -> AssertionError:
     return AssertionError(f"{name} stage failed on {seq.coeffs} over {seq.n}: {exc}")
 
 
-def _first_hit(
-    stages: tuple, arg: NormalForm | Sequence, seq: Sequence, trace: list[str] | None
-) -> tuple[str, int | CounterexampleReport, int | None, str] | None:
-    """The first stage that decides arg, as (name, m, k, note), or None.
+def _walk(stages: tuple, arg: NormalForm | Sequence, seq: Sequence) -> tuple[tuple, ...]:
+    """The row of every stage attempted on arg, in table order, up to the first hit.
 
-    Misses go to `trace`; seq only names the input in a stage's failure.
+    seq only names the input in a stage's failure.
     """
+    rows = []
     for name, stage in stages:
         try:
             step = stage(arg)
         except ValueError as exc:
             raise _failure(name, seq, exc) from exc
-        if step is None:
-            continue
-        m, k, note = step
-        if m is not None:
-            return name, m, k, note
-        if trace is not None:
-            trace.append(_stage_line(name, None, note))
-    return None
+        if step is not None:
+            rows.append((name, *step))
+            if step[0] is not None:
+                break
+    return tuple(rows)
 
 
 def find_certificate(
@@ -434,37 +429,36 @@ def find_certificate(
     against seq in one place.  A counterexample is a value, not an error.
     ValueError means classify rejected seq as bad input; once seq is
     accepted, a stage's ValueError is the pipeline's fault, raised as
-    AssertionError naming the stage.  With `trace`, one line is appended
-    for the classification and one per stage attempted, each prefixed with
-    the stage name.
+    AssertionError naming the stage.  Each attempted stage leaves a row;
+    with `trace`, one line is appended for the classification and one per
+    row, each prefixed with the stage name, once the verdict is made.
 
-    A `cache` for seq's modulus goes to classify, and keeps each normal
-    form's outcome over the four form stages: the first hit's name,
-    multiplier and k, or that all missed.  Full mode over 5..120 (coprime
-    to 6) keeps 11,120 forms in all.  Lifted, brute-force and counterexample
-    outcomes depend on seq itself and are never kept, and a traced call
-    neither reads nor fills the forms, so each stage it runs is traced.
-    Either way the result equals an uncached call's.
+    A `cache` for seq's modulus goes to classify, and its memo holds each
+    normal form's walk over the four form stages, misses included; a
+    traced call replays those misses.  Full mode over 5..120 (coprime to
+    6) keeps 11,120 forms in all.  Lifted, brute-force and counterexample
+    rows depend on seq itself and are never kept.  Either way the result
+    and the trace equal an uncached call's.
     """
     out = classify(seq, cache)
-    if trace is not None:
-        trace.append(_classify_line(out))
     nf = out.normal_form
     scaling = out.scaling
     if out.forced_multiplier is not None:
-        found = FORCED, out.forced_multiplier, None, ""
-    elif nf is None:
-        found = None
-    elif cache is None or trace is not None:
-        found = _first_hit(_FORM_STAGES, nf, seq, trace)
+        rows = ()
+        name, m, k, note = FORCED, out.forced_multiplier, None, ""
     else:
-        found = cache.forms.get(nf, _UNSEEN)
-        if found is _UNSEEN:
-            found = cache.forms[nf] = _first_hit(_FORM_STAGES, nf, seq, None)
-    if found is None:
-        scaling = 1  # input stages answer for seq itself
-        found = _first_hit(_INPUT_STAGES, seq, seq, trace)
-    name, m, k, note = found
+        if nf is None:
+            rows = ()
+        elif cache is None:
+            rows = _walk(_FORM_STAGES, nf, seq)
+        else:
+            rows = cache.forms.get(nf)
+            if rows is None:
+                rows = cache.forms[nf] = _walk(_FORM_STAGES, nf, seq)
+        if not rows or rows[-1][1] is None:
+            scaling = 1  # input stages answer for seq itself
+            rows += _walk(_INPUT_STAGES, seq, seq)
+        name, m, k, note = rows[-1]
     if isinstance(m, CounterexampleReport):
         verdict = m
     else:
@@ -476,5 +470,7 @@ def find_certificate(
         except ValueError as exc:
             raise _failure(name, seq, exc) from exc
     if trace is not None:
+        trace.append(_classify_line(out))
+        trace.extend(_stage_line(miss, None, why) for miss, _, _, why in rows[:-1])
         trace.append(_stage_line(name, verdict, note))
     return verdict

@@ -118,8 +118,9 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     AssertionError.
 
     One ModulusCache lives for the call and is dropped with it: classify
-    decides each unit-leading copy once and find_certificate searches each
-    normal form once (30,646 copies and 11,120 forms summed over 5..120
+    decides each unit-leading copy once and find_certificate's memo holds
+    each normal form's walk over the form stages, misses included, which
+    traced calls replay (30,646 copies and 11,120 forms summed over 5..120
     coprime to 6 in full mode).  What depends on the sequence itself, its
     minimality and weight checks and the lifted and brute-force stages,
     still runs for every sequence, so the report is the one an uncached

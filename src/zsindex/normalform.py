@@ -119,10 +119,11 @@ class ModulusCache:
 
     inverses[x] is the inverse of x mod n, or 0 when x is not a unit.
     copies maps a sorted unit-leading copy to its (tag, forced multiplier,
-    normal form); forms maps a NormalForm to find_certificate's form-stage
-    outcome.  Every entry depends on n and its key alone, never on the
-    input that first reached it.  One cache serves one modulus; classify
-    rejects an input over any other.
+    normal form); forms, the memo, maps a NormalForm to find_certificate's
+    walk over the form stages, misses included, which traced calls replay.
+    Every entry depends on n and its key alone, never on the input that
+    first reached it.  One cache serves one modulus; classify rejects an
+    input over any other.
     """
 
     __slots__ = ("n", "inverses", "copies", "forms")
@@ -131,7 +132,7 @@ class ModulusCache:
         self.n = check_modulus(n)
         self.inverses = [pow(x, -1, n) if math.gcd(x, n) == 1 else 0 for x in range(n)]
         self.copies: dict[tuple[int, ...], tuple[str, int | None, NormalForm | None]] = {}
-        self.forms: dict[NormalForm, tuple | None] = {}
+        self.forms: dict[NormalForm, tuple] = {}
 
 
 def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

@@ -472,6 +472,36 @@ def test_a_modulus_cache_changes_no_result_and_no_trace():
     assert 0 < len(cache.forms) < len(cache.copies)
 
 
+def test_a_traced_call_replays_the_cached_walk(monkeypatch):
+    """Once untraced calls have filled a ModulusCache(25), a traced call on
+    every minimal sequence over Z_25 runs no form search: it reads each
+    form's walk from the memo, misses included, and its trace is the
+    uncached traced call's."""
+    sequences = list(min_zero_sum4_sequences(25))
+    expected = []
+    for seq in sequences:
+        expected.append([])
+        find_certificate(seq, expected[-1])
+    cache = ModulusCache(25)
+    for seq in sequences:
+        find_certificate(seq, cache=cache)
+    calls = Counter()
+    for name in ("small_a_certificate", "search_interval",
+                 "search_half_interval", "search_majority_small"):
+        def counted(*args, _name=name, _original=getattr(certify, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(certify, name, counted)
+    for seq, want in zip(sequences, expected):
+        trace = []
+        find_certificate(seq, trace, cache)
+        assert trace == want, seq
+    assert calls == Counter()
+    # The replayed walks include misses, the case a first-hit memo would lose.
+    assert any(line.endswith(": miss") for want in expected for line in want[1:-1])
+
+
 def test_a_cache_serves_one_modulus():
     cache = ModulusCache(25)
     assert cache.inverses[:5] == [0, 1, 13, 17, 19]
