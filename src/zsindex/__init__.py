@@ -9,81 +9,23 @@ prove index 1, and verifies the "index is always 1 when gcd(n, 6) = 1"
 claim exhaustively over ranges of moduli with brute-force cross-checks.
 """
 
-from .zseq import (
-    IndexResult,
-    Sequence,
-    index,
-    is_minimal_zero_sum,
-    is_zero_sum,
-    make_sequence,
-    nu,
-    scale,
-    units,
-    weight,
-)
-from .enumeration import OrbitRep, iter_min_zero_sum4, iter_orbit_reps
-from .normalform import ModulusCache, NormalForm, ReductionOutcome, classify, normal_form_sequence
-from .certify import (
-    Certificate,
-    CertificateMiss,
-    CounterexampleReport,
-    ShapeStats,
-    find_certificate,
-    finalize,
-    search_half_interval,
-    search_interval,
-    search_majority_small,
-    shape_stats,
-    small_a_certificate,
-    verify_certificate,
-)
-from .subgroup import lift_witness, try_subgroup_reduce
-from .harness import (
-    VerificationReport,
-    find_counterexample,
-    report_to_json,
-    verify_modulus,
-    verify_range,
-)
+from .zseq import *
+from .enumeration import *
+from .normalform import *
+from .certify import *
+from .subgroup import *
+from .harness import *
+from . import certify, enumeration, harness, normalform, subgroup, zseq
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "CertificateMiss",
-    "CounterexampleReport",
-    "IndexResult",
-    "ModulusCache",
-    "NormalForm",
-    "OrbitRep",
-    "ReductionOutcome",
-    "Sequence",
-    "ShapeStats",
-    "VerificationReport",
-    "classify",
-    "find_certificate",
-    "find_counterexample",
-    "finalize",
-    "index",
-    "is_minimal_zero_sum",
-    "is_zero_sum",
-    "iter_min_zero_sum4",
-    "iter_orbit_reps",
-    "lift_witness",
-    "make_sequence",
-    "normal_form_sequence",
-    "nu",
-    "report_to_json",
-    "scale",
-    "search_half_interval",
-    "search_interval",
-    "search_majority_small",
-    "shape_stats",
-    "small_a_certificate",
-    "try_subgroup_reduce",
-    "units",
-    "verify_certificate",
-    "verify_modulus",
-    "verify_range",
-    "weight",
-]
+# Each library module states its public names once, in its own __all__;
+# the cli module is the command line, not API, and is not re-exported.
+__all__ = (
+    zseq.__all__
+    + enumeration.__all__
+    + normalform.__all__
+    + certify.__all__
+    + subgroup.__all__
+    + harness.__all__
+)

@@ -447,12 +447,11 @@ def find_certificate(
 
     A `cache` for seq's modulus goes to classify, and its memo holds each
     normal form's walk over the four form stages, misses included; a
-    traced call replays those misses.  Full mode over 5..120 (coprime to
-    6) keeps 11,120 forms in all.  Lifted, brute-force and counterexample
-    rows depend on seq itself and are never kept.  Once seq passes its
-    weight check, the call returns the cache's one Certificate for (m,
-    derivation, k), 6,545 over the same range.  Either way the result and
-    the trace equal an uncached call's.
+    traced call replays those misses.  Lifted, brute-force and
+    counterexample rows depend on seq itself and are never kept.  Once seq
+    passes its weight check, the call returns the cache's one Certificate
+    for (m, derivation, k); ModulusCache gives the counts.  Either way the
+    result and the trace equal an uncached call's.
     """
     out = classify(seq, cache)
     nf = out.normal_form

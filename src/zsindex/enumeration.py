@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .zseq import Sequence, check_modulus, units
+from .zseq import Sequence, check_modulus
 
 __all__ = ["OrbitRep", "iter_min_zero_sum4", "iter_orbit_reps"]
 
@@ -79,8 +79,8 @@ def iter_orbit_reps(n: int) -> Iterator[OrbitRep]:
     smaller tuple.  The candidates that give the tuple back are its
     whole stabiliser, so orbit_size = phi(n) / |stabiliser|.
     """
-    phi = len(units(n))
     g = [math.gcd(x, n) for x in range(n)]
+    phi = g.count(1)  # the units in [1, n-1]; g[0] = n is not 1
     candidates: list[list[int] | None] = [None] * n
     for coeffs in iter_min_zero_sum4(n):
         d = coeffs[0]

@@ -122,12 +122,11 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     each normal form's walk over the form stages, misses included, which
     traced calls replay.  Both also share their immutable results:
     classify returns one ReductionOutcome per forced (tag, multiplier) and
-    find_certificate one Certificate per (m, derivation, k).  Summed over
-    5..120 coprime to 6 in full mode that is 30,646 copies, 11,120 forms,
-    156 outcomes and 6,545 certificates.  What depends on the sequence
-    itself, its validation, minimality and weight checks and the lifted
-    and brute-force stages, still runs for every sequence, so the report
-    is the one an uncached run gives.
+    find_certificate one Certificate per (m, derivation, k); ModulusCache
+    gives the counts over 5..120.  What depends on the sequence itself,
+    its validation, minimality and weight checks and the lifted and
+    brute-force stages, still runs for every sequence, so the report is
+    the one an uncached run gives.
     """
     stream = _lookup(MODES, "mode", mode)(n)
     # Inlined randrange(SAMPLE_INTERVAL), drawn as CPython does: getrandbits, redrawn while too large.

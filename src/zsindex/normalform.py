@@ -127,8 +127,9 @@ class ModulusCache:
     the one ReductionOutcome classify returns for it, and certificates
     maps (m, derivation, k) to the one Certificate find_certificate
     returns once an input passes its weight check.  Full mode over 5..120
-    (coprime to 6) shares 156 outcomes and 6,545 certificates in all (4
-    and 322 at n = 119).
+    (coprime to 6) keeps 30,646 copies, 11,120 forms, 156 outcomes and
+    6,545 certificates in all, about n^2/6 copies at one modulus (2,297
+    copies, 4 outcomes and 322 certificates at n = 119).
     Every entry depends on n and its key alone, never on the input that
     first reached it.  One cache serves one modulus; classify rejects an
     input over any other.
@@ -203,10 +204,9 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
     settles gets the cache's one outcome for its (tag, multiplier), the
     unit inverse is read from its table, and each unit-leading copy's tag,
     forced multiplier and normal form are decided once and kept for the
-    cache's lifetime, one modulus (`verify_modulus` makes one per call).
-    Full mode over 5..120 (coprime to 6) keeps 30,646 copies in all, about
-    n^2/6 at one modulus (2,297 at n = 119).  The input itself is still
-    checked on every call, and the outcome equals an uncached call's.
+    cache's lifetime, one modulus (`verify_modulus` makes one per call;
+    ModulusCache gives the counts).  The input itself is still checked on
+    every call, and the outcome equals an uncached call's.
     """
     n, coeffs = seq.n, seq.coeffs
     if not is_minimal_zero_sum(seq):

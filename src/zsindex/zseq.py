@@ -39,8 +39,9 @@ def check_modulus(n: int) -> int:
 def units(n: int) -> list[int]:
     """All m in [1, n-1] coprime to n, in ascending order.
 
-    The package uses it only for phi(n), in enumeration; the first-witness
-    scans (index, the searches, lift_witness) each test gcd over a range.
+    Kept for callers and tests: the package itself reads phi(n) off
+    enumeration's gcd table, and the first-witness scans (index, the
+    searches, lift_witness) each test gcd over a range.
     """
     check_modulus(n)
     return [m for m in range(1, n) if math.gcd(m, n) == 1]
