@@ -110,9 +110,9 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
             full enumeration's plain tuples, which bounds the mode's time;
             only the representatives become Sequences.
 
-    In both modes a deterministic 1-in-K sample (seeded by n, K =
-    SAMPLE_INTERVAL) of the processed sequences is cross-checked against
-    the full brute-force index, and so is the last one if the draw picks
+    In both modes each processed sequence is cross-checked against the
+    full brute-force index when a uniform draw, seeded by n, falls below
+    1/K (K = SAMPLE_INTERVAL), and so is the last one if the draw picks
     none, so no modulus goes unchecked.  A disagreement raises
     OracleDisagreement; a failed stage raises find_certificate's
     AssertionError.
@@ -129,8 +129,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
     the one an uncached run gives.
     """
     stream = _lookup(MODES, "mode", mode)(n)
-    # Inlined randrange(SAMPLE_INTERVAL), drawn as CPython does: getrandbits, redrawn while too large.
-    draw, bits = random.Random(f"{SEED}:{n}").getrandbits, SAMPLE_INTERVAL.bit_length()
+    draw = random.Random(f"{SEED}:{n}").random
     histogram: dict[str, int] = {}
     counterexamples: list[CounterexampleReport] = []
     gaps = 0
@@ -149,10 +148,7 @@ def verify_modulus(n: int, mode: str = "full") -> VerificationReport:
                 gaps += any(math.gcd(x, n) == 1 for x in seq.coeffs)  # unit-leading
         else:
             counterexamples.append(outcome)
-        r = draw(bits)
-        while r >= SAMPLE_INTERVAL:
-            r = draw(bits)
-        if r == 0:
+        if draw() < 1 / SAMPLE_INTERVAL:
             drawn = True
             _cross_check(seq, outcome)
     if sequences_checked and not drawn:

@@ -19,10 +19,10 @@ which satisfies 1 + c = a + b and 1 < a <= b < c < n/2.  Everything else
 is opaque and handled downstream by subgroup reduction or brute force.
 
 `classify` checks its input once: minimal zero-sum (`Sequence` checks the
-length).  The helpers below it trust that check and work on plain tuples.
-The ladder reads nu as sum // n, and the scaled tuple needs no check
-either, since scaling by a unit keeps every coefficient nonzero and the
-sum zero mod n.
+length).  Its one helper, the ladder `_forced`, trusts that check and
+works on plain tuples.  It reads nu as sum // n, and the scaled tuple needs
+no check either, since scaling by a unit keeps every coefficient nonzero
+and the sum zero mod n.
 
 Many inputs over one modulus share a unit-leading copy.  A `ModulusCache`
 lets classify look up each unit's inverse and decide each copy once.
@@ -146,29 +146,16 @@ class ModulusCache:
         self.certificates: dict[tuple[int, str, int | None], object] = {}
 
 
-def _unit_leading(n: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """The inverse m of the smallest unit coefficient and the sorted image m*coeffs.
-
-    No checks: the caller has checked that coeffs is a minimal zero-sum
-    4-tuple mod n, and the coefficient just found coprime to n is a unit.
-    """
-    for x in coeffs:
-        if math.gcd(x, n) == 1:
-            m = pow(x, -1, n)
-            x1, x2, x3, x4 = coeffs
-            return m, tuple(sorted((m * x1 % n, m * x2 % n, m * x3 % n, m * x4 % n)))
-    return None
-
-
 def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int | None] | None:
     """Forced ladder on a sorted zero-sum tuple: (tag, multiplier), or None for the split.
 
     None exactly when nu = 2 and x2 < n/2 < x3.  (TAG_OPAQUE, None) for the
     other nu = 2 tuples over even n, where n-2 and 2 are not units.  The one
-    statement of the ladder: classify runs it on its input and on the
-    unit-scaled copy, and `certify._finisher` on the image under an
-    intermediate multiplier.  nu is read as sum // n without a check: both
-    callers have checked the zero sum, and a unit image keeps it.
+    statement of the ladder: classify runs it on its input and, at its one
+    copy site, on the unit-leading copy, and `certify._finisher` on the
+    image under an intermediate multiplier.  nu is read as sum // n
+    without a check: both callers have checked the zero sum, and a unit
+    image keeps it.
     """
     v = sum(coeffs) // n
     if v == 1:
@@ -184,15 +171,6 @@ def _forced(n: int, coeffs: tuple[int, ...]) -> tuple[str, int | None] | None:
     return TAG_ALL_BIG, 2
 
 
-def _copy_outcome(n: int, scaled: tuple[int, ...]) -> tuple[str, int | None, NormalForm | None]:
-    """(tag, forced multiplier, normal form) of a sorted unit-leading copy."""
-    hit = _forced(n, scaled)
-    if hit is not None:
-        return (*hit, None)
-    _, y2, y3, y4 = scaled
-    return TAG_NORMAL, None, NormalForm(n, n - y4, n - y3, y2)
-
-
 def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutcome:
     """Classify a minimal zero-sum sequence per the reduction ladder.
 
@@ -200,13 +178,15 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
     moduli route the 2*x = n boundary and the even-forced-multiplier shapes
     to opaque, because their would-be multipliers n-2 and 2 are not units.
 
-    With a `cache` for seq's modulus, an input that the forced ladder
-    settles gets the cache's one outcome for its (tag, multiplier), the
-    unit inverse is read from its table, and each unit-leading copy's tag,
-    forced multiplier and normal form are decided once and kept for the
-    cache's lifetime, one modulus (`verify_modulus` makes one per call;
-    ModulusCache gives the counts).  The input itself is still checked on
-    every call, and the outcome equals an uncached call's.
+    An input the ladder leaves split takes one route, cached or not: m
+    inverts its smallest unit coefficient (opaque if none is a unit), and
+    the ladder decides the sorted copy m*seq, returned with scaling m.
+    With a `cache` for seq's modulus, m is read from its inverse table,
+    each copy is decided once and kept for the cache's lifetime, one
+    modulus (`verify_modulus` makes one per call; ModulusCache gives the
+    counts), and an input the ladder settles gets the cache's one outcome
+    for its (tag, multiplier).  The input itself is still checked on every
+    call, and the outcome equals an uncached call's.
     """
     n, coeffs = seq.n, seq.coeffs
     if not is_minimal_zero_sum(seq):
@@ -222,21 +202,29 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
         if out is None:
             out = cache.forced[hit] = ReductionOutcome(*hit)
         return out
-    if cache is None:
-        ul = _unit_leading(n, coeffs)
-        if ul is None:
-            return _OPAQUE
-        m, scaled = ul
-        return ReductionOutcome(*_copy_outcome(n, scaled), m)
-    inverses = cache.inverses
     x1, x2, x3, x4 = coeffs
-    m = inverses[x1] or inverses[x2] or inverses[x3] or inverses[x4]  # the smallest unit's
-    if not m:
+    if cache is None:
+        m = 0
+        for x in coeffs:
+            if math.gcd(x, n) == 1:
+                m = pow(x, -1, n)
+                break
+    else:
+        inverses = cache.inverses
+        m = inverses[x1] or inverses[x2] or inverses[x3] or inverses[x4]  # the smallest unit's
+    if not m:  # no unit coefficient
         return _OPAQUE
     scaled = tuple(sorted((m * x1 % n, m * x2 % n, m * x3 % n, m * x4 % n)))
-    copy = cache.copies.get(scaled)
+    copy = None if cache is None else cache.copies.get(scaled)
     if copy is None:
-        copy = cache.copies[scaled] = _copy_outcome(n, scaled)
+        hit = _forced(n, scaled)
+        if hit is None:
+            _, y2, y3, y4 = scaled
+            copy = TAG_NORMAL, None, NormalForm(n, n - y4, n - y3, y2)
+        else:
+            copy = (*hit, None)
+        if cache is not None:
+            cache.copies[scaled] = copy
     return ReductionOutcome(*copy, m)
 
 

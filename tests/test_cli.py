@@ -54,6 +54,19 @@ def test_witness_explain_prints_the_trace(capsys):
     assert any(line.startswith("classify:") for line in payload["trace"])
 
 
+def test_witness_explain_on_a_forced_multiplier_read_off_the_unit_leading_copy(capsys):
+    # 3^-1 = 9 mod 13 scales the input to the all-big copy (1, 7, 8, 10), whose
+    # multiplier 2 certifies the input through 2 * 9 % 13 = 5.
+    code, out = run(capsys, ["witness", "--n", "13", "--seq", "3,4,8,11", "--explain"])
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 13,
+        "seq": [3, 4, 8, 11],
+        "certificate": {"m": 5, "k": None, "derivation": "forced"},
+        "trace": ["classify: tag=all_big forced_multiplier=2 scaling=9", "forced: hit m=5"],
+    }
+
+
 @pytest.mark.parametrize(
     "n, seq, stages",
     [

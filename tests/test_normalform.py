@@ -10,11 +10,12 @@ from zsindex.normalform import (
     TAG_NU1,
     TAG_NU3,
     TAG_OPAQUE,
+    ModulusCache,
     NormalForm,
     ReductionOutcome,
-    classify,
+    _OPAQUE,
     _forced,
-    _unit_leading,
+    classify,
     normal_form_sequence,
 )
 from zsindex.zseq import is_minimal_zero_sum, make_sequence, nu, scale, weight
@@ -32,24 +33,42 @@ def all_normal_forms(n):
             yield NormalForm(n, a, b, c)
 
 
-def test_unit_leading_examples():
-    assert _unit_leading(175, (5, 77, 133, 135)) is None
-    # The smallest unit coefficient is inverted: 2^-1 = 6 mod 11, not 7^-1 = 8.
-    assert _unit_leading(11, (2, 6, 7, 7)) == (6, (1, 3, 9, 9))
-    assert _unit_leading(25, (1, 11, 18, 20)) == (1, (1, 11, 18, 20))
+def unit_led_copy(n, coeffs):
+    """(m, sorted m*coeffs) for m the inverse of the smallest unit coefficient, or None."""
+    units = [x for x in coeffs if math.gcd(x, n) == 1]
+    if not units:
+        return None
+    m = pow(units[0], -1, n)
+    return m, tuple(sorted(m * y % n for y in coeffs))
 
 
-def test_unit_leading_inverts_the_smallest_unit_coefficient():
-    # Every minimal sequence over n = 5..60, even moduli and multiples of 3 included.
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_classify_copy_route_examples(cached):
+    def run(n, coeffs):
+        return classify(make_sequence(n, coeffs), ModulusCache(n) if cached else None)
+
+    # The smallest unit coefficient is inverted: 2^-1 = 7 mod 13, not 5^-1 = 8.
+    assert run(13, [2, 5, 7, 12]) == ReductionOutcome(TAG_NORMAL, None, NormalForm(13, 3, 4, 6), 7)
+    # 3^-1 = 9 mod 13; the ladder settles the copy (1, 7, 8, 10): all big, multiplier 2.
+    assert run(13, [3, 4, 8, 11]) == ReductionOutcome(TAG_ALL_BIG, 2, None, 9)
+    assert run(175, [5, 77, 133, 135]) is _OPAQUE
+
+
+def test_classify_scales_by_the_inverse_of_the_smallest_unit_coefficient():
+    # Every minimal sequence over n = 5..60 that its own ladder leaves split,
+    # even moduli and multiples of 3 included, uncached and cached.
     for n in range(5, 61):
+        cache = ModulusCache(n)
         for seq in min_zero_sum4_sequences(n):
-            coeffs = seq.coeffs
-            unit = [x for x in coeffs if math.gcd(x, n) == 1]
-            if not unit:
-                assert _unit_leading(n, coeffs) is None
+            if _forced(n, seq.coeffs) is not None:
                 continue
-            m = pow(unit[0], -1, n)
-            assert _unit_leading(n, coeffs) == (m, tuple(sorted(m * y % n for y in coeffs)))
+            unit_led = unit_led_copy(n, seq.coeffs)
+            for out in (classify(seq), classify(seq, cache)):
+                if unit_led is None:
+                    assert out is _OPAQUE, seq
+                else:
+                    assert out.scaling == unit_led[0], seq
+            assert unit_led is None or unit_led[1] in cache.copies, seq
 
 
 def test_classify_examples():
@@ -178,7 +197,7 @@ def test_forced_is_none_exactly_on_the_split():
     opaque_moduli = set()
     for n in range(3, 61):
         for seq in min_zero_sum4_sequences(n):
-            unit_led = _unit_leading(n, seq.coeffs)
+            unit_led = unit_led_copy(n, seq.coeffs)
             for t in (seq.coeffs,) if unit_led is None else (seq.coeffs, unit_led[1]):
                 hit = _forced(n, t)
                 split = sum(t) == 2 * n and 2 * t[1] < n < 2 * t[2]
