@@ -40,8 +40,9 @@ def units(n: int) -> list[int]:
     """All m in [1, n-1] coprime to n, in ascending order.
 
     Kept for callers and tests: the package itself reads phi(n) off
-    enumeration's gcd table, and the first-witness scans (index, the
-    searches, lift_witness) each test gcd over a range.
+    enumeration's gcd table, the first-witness scans (the searches,
+    lift_witness) each test gcd over a range, and index tests it only
+    where a multiplier's weight beats its best so far.
     """
     check_modulus(n)
     return [m for m in range(1, n) if math.gcd(m, n) == 1]
@@ -172,26 +173,24 @@ def scale(seq: Sequence, u: int) -> Sequence:
 def index(seq: Sequence) -> IndexResult:
     """Minimal weight over all units as a fraction of n, with the smallest witness.
 
-    Scans units in ascending order.  A weight of exactly n is a proven
+    Scans m in ascending order.  A weight of exactly n is a proven
     global minimum for any sequence (zero-sum weights are positive
     multiples of n; non-zero-sum weights are never congruent to 0), so the
     scan stops early at the first such hit, which makes the witness both
-    the first and the smallest one.
+    the first and the smallest one.  The scan starts from m = 1, which is
+    a unit of every modulus.  After it, gcd(m, n) is tested only when m's
+    weight beats the best so far, so a non-unit is rejected exactly where
+    it would improve the minimum.
     """
     n = seq.n
-    coeffs = seq.coeffs
+    x1, x2, x3, x4 = seq.coeffs
     gcd = math.gcd
-    best_w: int | None = None
+    best_w = x1 + x2 + x3 + x4
     best_m = 1
-    for m in range(1, n):
-        if gcd(m, n) != 1:
-            continue
-        w = 0
-        for x in coeffs:
-            w += (m * x) % n
-        if best_w is None or w < best_w:
+    for m in range(2, n):
+        if best_w == n:
+            break
+        w = m * x1 % n + m * x2 % n + m * x3 % n + m * x4 % n
+        if w < best_w and gcd(m, n) == 1:
             best_w, best_m = w, m
-            if w == n:
-                break
-    assert best_w is not None
     return IndexResult(_ONE if best_w == n else Fraction(best_w, n), best_m)

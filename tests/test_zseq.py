@@ -236,6 +236,9 @@ def test_index_examples():
     assert r.value == 1 and r.witness == 1
     r = index(make_sequence(49, [1, 19, 32, 46]))
     assert r.value == 1 and r.witness == 8
+    # m = 2 is not a unit mod 8, but it reaches weight 2 + 2 + 2 + 2 = 8 first.
+    r = index(make_sequence(8, [1, 5, 5, 5]))
+    assert r.value == 1 and r.witness == 5
     # every unit below the witness gives weight 2n (7 is not a unit mod 49)
     assert all(
         weight(make_sequence(49, [1, 19, 32, 46]), m) == 98
@@ -279,6 +282,44 @@ def test_index_matches_full_scan_oracle(seq):
     value, witness = oracle_index(seq.n, seq.coeffs)
     assert r.value == value
     assert r.witness == witness
+
+
+def _scan_without_unit_test(n, coeffs):
+    """index's scan with its gcd test left out: accepts a non-unit that lowers the weight."""
+    best_w, best_m = sum(coeffs), 1
+    for m in range(2, n):
+        if best_w == n:
+            break
+        w = sum(m * x % n for x in coeffs)
+        if w < best_w:
+            best_w, best_m = w, m
+    return Fraction(best_w, n), best_m
+
+
+def test_index_matches_full_scan_oracle_on_every_small_tuple():
+    # Every ascending 4-tuple of nonzero residues, zero-sum or not, for 3 <= n <= 12.
+    tuples = missed = 0
+    for n in range(3, 13):
+        for coeffs in combinations_with_replacement(range(1, n), 4):
+            r = index(Sequence(n, coeffs))
+            expected = oracle_index(n, coeffs)
+            assert (r.value, r.witness) == expected, (n, coeffs)
+            tuples += 1
+            missed += _scan_without_unit_test(n, coeffs) != expected
+    # On these tuples a non-unit would change the answer unless its gcd is tested.
+    assert (tuples, missed) == (3002, 1638)
+
+
+def test_index_matches_full_scan_oracle_on_every_minimal_sequence_to_30():
+    count = 0
+    for n in range(3, 31):
+        for x1, x2, x3 in combinations_with_replacement(range(1, n), 3):
+            coeffs = (x1, x2, x3, -(x1 + x2 + x3) % n)
+            if coeffs[3] >= x3 and oracle_minimal_zero_sum(n, coeffs):
+                r = index(Sequence(n, coeffs))
+                assert (r.value, r.witness) == oracle_index(n, coeffs), (n, coeffs)
+                count += 1
+    assert count == 8566
 
 
 @settings(max_examples=100)
