@@ -47,7 +47,6 @@ __all__ = [
     "Certificate",
     "CertificateMiss",
     "CounterexampleReport",
-    "ShapeStats",
     "find_certificate",
     "finalize",
     "make_certificate",
@@ -129,43 +128,30 @@ def make_certificate(
     return cert
 
 
-@dataclass(frozen=True, slots=True)
-class ShapeStats:
-    """Shape statistics of a normal form: s = floor(b/a) and the interval index k1.
-
-    k1 is the largest k >= 1 such that [(k-1)n/c, (k-1)n/b) contains no
-    integer (equivalently ceil((k-1)n/c) = ceil((k-1)n/b)) while
-    [k*n/c, k*n/b) contains one; it always exists and satisfies k1 <= b.
-    """
-
-    s: int
-    k1: int
-
-
 def _ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
-def _open_interval_nonempty(n: int, b: int, c: int, k: int) -> bool:
-    """Does [k*n/c, k*n/b) contain an integer?  Exact, via cross-multiplication."""
-    m0 = _ceil_div(k * n, c)
-    return m0 * b < k * n
+def shape_stats(nf: NormalForm) -> tuple[int, int]:
+    """The pair (s, k1) of a normal form: s = floor(b/a) and the interval index k1.
 
-
-def shape_stats(nf: NormalForm) -> ShapeStats:
+    k1 is the largest k >= 1 such that [(k-1)n/c, (k-1)n/b) contains no
+    integer (equivalently ceil((k-1)n/c) = ceil((k-1)n/b)) while
+    [k*n/c, k*n/b) contains one; it always exists and satisfies k1 <= b.
+    The pipeline never calls it; perfbench's tracer wraps it by name.
+    """
     n, a, b, c = nf.n, nf.a, nf.b, nf.c
-    s = b // a
     k1 = 0
     prev_nonempty = False  # the k = 0 interval [0, 0) is empty
     for k in range(1, b + 1):
-        nonempty = _open_interval_nonempty(n, b, c, k)
+        nonempty = _ceil_div(k * n, c) * b < k * n  # [k*n/c, k*n/b) holds an integer
         if nonempty and not prev_nonempty:
             k1 = k
         prev_nonempty = nonempty
     # Existence: any interval of index >= b has length > 2, so the first
     # nonempty interval qualifies and no index past b can.
     assert 1 <= k1 <= b, f"no interval index found for {nf}"
-    return ShapeStats(s=s, k1=k1)
+    return b // a, k1
 
 
 def search_interval(nf: NormalForm) -> tuple[int, int] | None:

@@ -71,25 +71,20 @@ class VerificationReport:
     counterexamples: list[CounterexampleReport]
 
 
-def _distinct_prime_factors(n: int) -> int:
-    count = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            count += 1
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        count += 1
-    return count
-
-
 def in_constructive_domain(n: int) -> bool:
     """Moduli the certificate searches are expected to cover without brute force:
     gcd(n, 6) = 1 and at most two distinct prime factors."""
-    return math.gcd(n, 6) == 1 and _distinct_prime_factors(n) <= 2
+    if math.gcd(n, 6) != 1:
+        return False
+    primes = 0
+    p = 5
+    while p * p <= n:
+        if n % p == 0:
+            primes += 1
+            while n % p == 0:
+                n //= p
+        p += 2
+    return primes + (n > 1) <= 2
 
 
 # Filter name -> which moduli a verification run keeps.

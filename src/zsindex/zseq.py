@@ -1,4 +1,4 @@
-"""Sequences over Z_n: units, zero-sum and minimality predicates, weights, brute-force index.
+"""Sequences over Z_n: units, the minimal zero-sum predicate, weights, brute-force index.
 
 The brute-force index scan in this module is the ground-truth oracle for
 everything else in the package: certificate searches are validated against
@@ -18,7 +18,6 @@ __all__ = [
     "check_modulus",
     "index",
     "is_minimal_zero_sum",
-    "is_zero_sum",
     "make_sequence",
     "nu",
     "scale",
@@ -115,11 +114,6 @@ def make_sequence(n: int, coeffs: list[int] | tuple[int, ...]) -> Sequence:
             raise ValueError(f"coefficient {x} is divisible by {n} (zero class not allowed)")
         reduced.append(r)
     return Sequence(n, tuple(sorted(reduced)))
-
-
-def is_zero_sum(seq: Sequence) -> bool:
-    """True when the coefficients sum to 0 mod n."""
-    return sum(seq.coeffs) % seq.n == 0
 
 
 def nu(seq: Sequence) -> int:

@@ -85,8 +85,7 @@ def test_certificate_tags_are_the_stage_names():
     ],
 )
 def test_shape_stats_examples(nf, s, k1):
-    stats = shape_stats(nf)
-    assert stats.s == s and stats.k1 == k1
+    assert shape_stats(nf) == (s, k1)
 
 
 def test_shape_stats_definition_holds():
@@ -94,8 +93,8 @@ def test_shape_stats_definition_holds():
 
     for n in (49, 121, 175):
         for nf in all_normal_forms(n):
-            stats = shape_stats(nf)
-            k1 = stats.k1
+            s, k1 = shape_stats(nf)
+            assert s == nf.b // nf.a
             assert 1 <= k1 <= nf.b
 
             def interval_has_integer(k):
@@ -172,6 +171,41 @@ def test_search_interval_matches_the_oracle_on_random_large_normal_forms():
         assert search_interval(nf) == expected, nf
         misses += expected is None
     assert 0 < misses < 2000
+
+
+def test_weight_identity_on_every_normal_form_and_unit_up_to_40():
+    """On the sequence (1, c, n-b, n-a) of a normal form, a unit m with
+    j = ceil(ma/n) and k = ceil(mb/n) has weight n*(j + k - floor(mc/n)):
+    the m terms cancel because 1 + c = a + b.  Since floor(mc/n) <= j + k - 1
+    the bracket is at least 1, so m certifies iff m*c >= (j + k - 1)*n."""
+    pairs = 0
+    for n in range(5, 41):
+        for nf in all_normal_forms(n):
+            seq = normal_form_sequence(nf)
+            for m in units(n):
+                j, k = -(-m * nf.a // n), -(-m * nf.b // n)
+                w = weight(seq, m)
+                assert w == n * (j + k - m * nf.c // n), (nf, m)
+                assert (w == n) == (m * nf.c >= (j + k - 1) * n), (nf, m)
+                pairs += 1
+    assert pairs == 19462
+
+
+def test_search_interval_finds_the_least_certificate_with_m_times_a_below_n():
+    """search_interval's certificates are exactly the units m with m*a < n
+    and weight n (the j = 1 cells of the identity above), and it returns
+    the least of them, or None when there is none."""
+    forms = hits = 0
+    for n in range(5, 101):
+        unit_list = units(n)
+        for nf in all_normal_forms(n):
+            seq = normal_form_sequence(nf)
+            least = next((m for m in unit_list if m * nf.a < n and weight(seq, m) == n), None)
+            hit = search_interval(nf)
+            assert (None if hit is None else hit[1]) == least, nf
+            forms += 1
+            hits += hit is not None
+    assert (forms, hits) == (19000, 18040)
 
 
 def test_search_interval_miss_visits_a_bounded_number_of_k(monkeypatch):

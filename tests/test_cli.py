@@ -67,6 +67,27 @@ def test_witness_explain_on_a_forced_multiplier_read_off_the_unit_leading_copy(c
     }
 
 
+def test_witness_explain_on_even_n_stops_at_opaque_without_the_unit_leading_copy(capsys):
+    # Over even n a nu = 2 input that does not split around n/2 is opaque
+    # (n - 2 and 2 are not units), and classify tries no unit-leading copy.
+    # Here 13 * (5, 6, 7, 14) = (1, 6, 11, 14) mod 16 is
+    # the normal form (2, 5, 6), which search_interval settles with m = 3,
+    # yet the input falls through to brute force.
+    code, out = run(capsys, ["witness", "--n", "16", "--seq", "5,6,7,14", "--explain"])
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 16,
+        "seq": [5, 6, 7, 14],
+        "certificate": {"m": 7, "k": None, "derivation": "brute_force"},
+        "trace": [
+            "classify: tag=opaque forced_multiplier=None scaling=1",
+            "lifted: miss (not reducible)",
+            "brute_force: hit m=7",
+        ],
+    }
+    assert certify.search_interval(certify.NormalForm(16, 2, 5, 6)) == (1, 3)
+
+
 @pytest.mark.parametrize(
     "n, seq, stages",
     [

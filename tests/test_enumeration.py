@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import (
+    factorize,
     min_zero_sum4_sequences,
     oracle_count_minimal4,
     oracle_enumerate4,
@@ -154,3 +155,35 @@ def test_orbit_reps_cache_the_scanned_candidates(monkeypatch):
         assert 1 in built
         for x in built:
             assert candidates[x] == _scanned_candidates(n, x), (n, x)
+
+
+def _mixed(n):
+    """Minimal sequences over Z_n with no unit coefficient whose coefficients
+    and n have gcd 1: neither unit scaling nor subgroup reduction applies."""
+    return [
+        coeffs
+        for coeffs in iter_min_zero_sum4(n)
+        if all(math.gcd(x, n) > 1 for x in coeffs) and math.gcd(n, *coeffs) == 1
+    ]
+
+
+def test_no_mixed_sequences_over_prime_powers_and_pq_to_130():
+    for n in range(5, 131):
+        factors = factorize(n)
+        if math.gcd(n, 6) == 1 and len(factors) <= 2:
+            # Below 175 = 5^2 * 7 every such n is a prime power or a product pq.
+            assert len(factors) == 1 or set(factors.values()) == {1}
+            assert _mixed(n) == [], n
+
+
+@pytest.mark.parametrize("p, q", [(5, 7), (7, 5)])
+def test_mixed_sequences_over_p2q_pair_two_multiples_of_p_with_two_of_q(p, q):
+    n = p * p * q
+    mixed = _mixed(n)
+    assert len(mixed) == (q - 1) * (p * (p - 1) // 2) ** 2  # 600 at 175, 1,764 at 245
+    for coeffs in mixed:
+        ps = [x for x in coeffs if x % p == 0 and x % q != 0]
+        qs = [x for x in coeffs if x % q == 0 and x % p != 0]
+        assert len(ps) == len(qs) == 2, coeffs
+        x, y = ps
+        assert (x + y) % (p * q) == 0 and (x + y) % n != 0, coeffs

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import min_zero_sum4_sequences
+from conftest import factorize, min_zero_sum4_sequences
 from zsindex import certify, harness
 from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.harness import (
@@ -185,3 +185,8 @@ def test_constructive_domain_predicate():
     assert not in_constructive_domain(8)  # gcd(8, 6) = 2
     assert not in_constructive_domain(15)  # gcd(15, 6) = 3
     assert not in_constructive_domain(385)  # three distinct primes
+
+
+def test_constructive_domain_is_coprime_to_6_with_at_most_two_primes():
+    for n in range(3, 20001):
+        assert in_constructive_domain(n) == (math.gcd(n, 6) == 1 and len(factorize(n)) <= 2), n

@@ -37,7 +37,6 @@ from zsindex import (
     iter_orbit_reps,
     make_sequence,
     normal_form_sequence,
-    shape_stats,
 )
 from zsindex.harness import verify_modulus
 
@@ -53,7 +52,6 @@ VALUES = {
     "ReductionOutcome": lambda: classify(normal_form_sequence(_FORM)),
     "Certificate": lambda: find_certificate(make_sequence(13, [1, 5, 10, 10])),
     "CounterexampleReport": lambda: find_certificate(make_sequence(8, [1, 4, 5, 6])),
-    "ShapeStats": lambda: shape_stats(_FORM),
     "VerificationReport": lambda: verify_modulus(8, "full"),
 }
 

@@ -14,7 +14,6 @@ from zsindex.zseq import (
     Sequence,
     index,
     is_minimal_zero_sum,
-    is_zero_sum,
     make_sequence,
     nu,
     scale,
@@ -153,12 +152,6 @@ def raw_sequence_args(draw):
 @given(raw_sequence_args())
 def test_sequence_check_matches_oracle(args):
     _assert_same_verdict(*args)
-
-
-def test_is_zero_sum_examples():
-    assert is_zero_sum(make_sequence(175, [5, 77, 133, 135]))
-    assert is_zero_sum(make_sequence(7, [1, 1, 1, 4]))
-    assert not is_zero_sum(make_sequence(7, [1, 1, 1, 3]))
 
 
 def test_nu_examples():
