@@ -239,7 +239,7 @@ def finalize(seq: Sequence, mid: int, derivation: str) -> Certificate | None:
     None when the ladder gives no multiplier: the image (nu = 2) splits
     strictly around n/2, where all four weigh 2n, or, for even n, any other
     nu = 2 image, where n-2 and 2 are not units.  ValueError unless mid is
-    a unit and seq zero-sum.
+    a unit and seq zero-sum.  The pipeline never calls it; perfbench's replay reads it by name.
     """
     n, coeffs = seq.n, seq.coeffs
     if math.gcd(mid, n) != 1:
@@ -461,9 +461,9 @@ def find_certificate(
     if isinstance(m, CounterexampleReport):
         verdict = m
     else:
-        # m is for the classified copy scale(seq, scaling), so seq's multiplier
-        # is |m*scaling|_n.  k is kept only when scaling is 1: on any other
-        # copy it no longer satisfies the k-interval inequalities.
+        # m is for the classified copy (each |scaling*x_i|_n, sorted), so seq's
+        # multiplier is |m*scaling|_n.  k is kept only when scaling is 1: on any
+        # other copy it no longer satisfies the k-interval inequalities.
         try:
             verdict = make_certificate(
                 seq, m * scaling % seq.n, name, k if scaling == 1 else None,

@@ -87,9 +87,9 @@ class NormalForm:
 class ReductionOutcome:
     """Result of classifying a sequence.
 
-    `scaling` is the unit u whose copy scale(S, u) the tag, forced multiplier
-    and normal form describe; 1, the default, when that copy is S itself.  A
-    forced multiplier fm certifies S through (fm * scaling) % n.
+    `scaling` is the unit u whose copy (|u*x_i|_n, sorted) of S the tag,
+    forced multiplier and normal form describe; 1, the default, when that
+    copy is S itself.  A forced multiplier fm certifies S via (fm*scaling) % n.
     """
 
     tag: str
@@ -129,7 +129,10 @@ class ModulusCache:
     returns once an input passes its weight check.  Full mode over 5..120
     (coprime to 6) keeps 30,646 copies, 11,120 forms, 156 outcomes and
     6,545 certificates in all, about n^2/6 copies at one modulus (2,297
-    copies, 4 outcomes and 322 certificates at n = 119).
+    copies, 4 outcomes and 322 certificates at n = 119).  The copies and forms memos
+    serve full mode, where 305,238 of 335,884 copy and 128,051 of 139,171 form lookups
+    hit; in orbit mode all miss (1,354 of each over 5..130), since a representative
+    with a unit coefficient starts with 1 and is its own copy.
     Every entry depends on n and its key alone, never on the input that
     first reached it.  One cache serves one modulus; classify rejects an
     input over any other.
@@ -231,7 +234,7 @@ def classify(seq: Sequence, cache: ModulusCache | None = None) -> ReductionOutco
 def normal_form_sequence(nf: NormalForm) -> Sequence:
     """The sequence (1, c, n-b, n-a) associated with a normal form.
 
-    Built directly: NormalForm's invariants already make the tuple sorted
-    and in [1, n-1], and Sequence still checks it.
+    NormalForm's invariants make the tuple sorted and in [1, n-1]; Sequence still checks
+    it.  The pipeline never calls it; perfbench's replay reads it by name.
     """
     return Sequence(nf.n, (1, nf.c, nf.n - nf.b, nf.n - nf.a))

@@ -1,4 +1,4 @@
-"""Sequences over Z_n: units, the minimal zero-sum predicate, weights, brute-force index.
+"""Sequences over Z_n: the minimal zero-sum predicate, unit weights, brute-force index.
 
 The brute-force index scan in this module is the ground-truth oracle for
 everything else in the package: certificate searches are validated against
@@ -19,9 +19,6 @@ __all__ = [
     "index",
     "is_minimal_zero_sum",
     "make_sequence",
-    "nu",
-    "scale",
-    "units",
     "weight",
 ]
 
@@ -33,18 +30,6 @@ def check_modulus(n: int) -> int:
     if n < 3:
         raise ValueError(f"modulus must be at least 3, got {n}")
     return n
-
-
-def units(n: int) -> list[int]:
-    """All m in [1, n-1] coprime to n, in ascending order.
-
-    Kept for callers and tests: the package itself reads phi(n) off
-    enumeration's gcd table, the first-witness scans (the searches,
-    lift_witness) each test gcd over a range, and index tests it only
-    where a multiplier's weight beats its best so far.
-    """
-    check_modulus(n)
-    return [m for m in range(1, n) if math.gcd(m, n) == 1]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -116,17 +101,6 @@ def make_sequence(n: int, coeffs: list[int] | tuple[int, ...]) -> Sequence:
     return Sequence(n, tuple(sorted(reduced)))
 
 
-def nu(seq: Sequence) -> int:
-    """The integer (sum of coefficients)/n of a zero-sum sequence.
-
-    Always 1, 2 or 3, since each of the four coefficients lies in [1, n-1].
-    """
-    total = sum(seq.coeffs)
-    if total % seq.n != 0:
-        raise ValueError("nu requires a zero-sum sequence")
-    return total // seq.n
-
-
 def is_minimal_zero_sum(seq: Sequence) -> bool:
     """True when seq is zero-sum and no nonempty proper sub-multiset sums to 0 mod n.
 
@@ -154,14 +128,6 @@ def weight(seq: Sequence, m: int) -> int:
         raise ValueError(f"{m} is not a unit modulo {n}")
     x1, x2, x3, x4 = seq.coeffs  # no term is 0: m is a unit and each x a nonzero class
     return m * x1 % n + m * x2 % n + m * x3 % n + m * x4 % n
-
-
-def scale(seq: Sequence, u: int) -> Sequence:
-    """Coefficientwise least positive residue of u*x_i, re-sorted; u must be a unit."""
-    n = seq.n
-    if math.gcd(u, n) != 1:
-        raise ValueError(f"{u} is not a unit modulo {n}")
-    return Sequence(n, tuple(sorted((u * x) % n for x in seq.coeffs)))
 
 
 def index(seq: Sequence) -> IndexResult:

@@ -3,8 +3,10 @@
 These deliberately reimplement functionality with different algorithms
 (itertools subsets instead of bitmasks, factorization-based totient, full
 unit scans) so that library code is always checked against a second route.
-min_zero_sum4_sequences is no oracle: it wraps the library's enumerated
-tuples in Sequences for the tests that need them.
+units, nu and scale state the paper's unit group, (sum of coefficients)/n
+and unit scaling for the tests; the package computes each inline where it
+needs it.  min_zero_sum4_sequences is no oracle: it wraps the library's
+enumerated tuples in Sequences for the tests that need them.
 """
 
 from __future__ import annotations
@@ -84,6 +86,31 @@ def oracle_enumerate_triples(n: int) -> list[tuple[int, ...]]:
                 if x4 >= x3 and x1 + x3 != n and x2 + x3 != n:
                     out.append((x1, x2, x3, x4))
     return out
+
+
+def units(n: int) -> list[int]:
+    """All m in [1, n-1] coprime to n, in ascending order; ValueError for n < 3."""
+    if n < 3:
+        raise ValueError(f"modulus must be at least 3, got {n}")
+    return [m for m in range(1, n) if math.gcd(m, n) == 1]
+
+
+def nu(seq: Sequence) -> int:
+    """The integer (sum of coefficients)/n of a zero-sum sequence, always 1, 2
+    or 3; ValueError if seq is not zero-sum."""
+    q, r = divmod(sum(seq.coeffs), seq.n)
+    if r:
+        raise ValueError("nu requires a zero-sum sequence")
+    return q
+
+
+def scale(seq: Sequence, u: int) -> Sequence:
+    """The copy of seq with each coefficient |u*x_i|_n, re-sorted; ValueError
+    unless u is a unit mod n."""
+    n = seq.n
+    if math.gcd(u, n) != 1:
+        raise ValueError(f"{u} is not a unit modulo {n}")
+    return Sequence(n, tuple(sorted((u * x) % n for x in seq.coeffs)))
 
 
 def min_zero_sum4_sequences(n: int):

@@ -13,7 +13,7 @@ index 2 and so no certificate at all.
 import math
 import time
 
-from conftest import factorize, min_zero_sum4_sequences, oracle_index
+from conftest import factorize, min_zero_sum4_sequences, nu, oracle_index, scale, units
 from zsindex.certify import (
     BRUTE_FORCE,
     Certificate,
@@ -26,7 +26,7 @@ from zsindex.enumeration import iter_min_zero_sum4, iter_orbit_reps
 from zsindex.harness import find_counterexample, verify_modulus, verify_range
 from zsindex.normalform import NormalForm, classify, normal_form_sequence
 from zsindex.subgroup import lift_witness, try_subgroup_reduce
-from zsindex.zseq import index, is_minimal_zero_sum, make_sequence, nu, scale, units, weight
+from zsindex.zseq import index, is_minimal_zero_sum, make_sequence, weight
 from zsindex.certify import find_certificate
 
 CONSTRUCTIVE_MODULI = [25, 49, 121, 125, 169, 35, 55, 77, 91, 175, 245, 275, 343]

@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import factorize, min_zero_sum4_sequences, oracle_finalize, oracle_search_interval
+from conftest import (
+    factorize,
+    min_zero_sum4_sequences,
+    oracle_finalize,
+    oracle_search_interval,
+    units,
+)
 from test_normalform import all_normal_forms
 from zsindex import certify
 from zsindex.certify import (
@@ -38,7 +44,7 @@ from zsindex.normalform import (
     classify,
     normal_form_sequence,
 )
-from zsindex.zseq import Sequence, index, make_sequence, units, weight
+from zsindex.zseq import Sequence, index, make_sequence, weight
 
 
 def in_two_prime_power_domain(n):
@@ -406,9 +412,8 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
     call (recursive ones included) makes one verify_certificate call, no
     (n, coeffs, m) weight check repeats within one top-level call, and
     shape_stats (whose k1 the pipeline does not need) is never called.
-    Below classify nothing re-checks the input: no nu, scale or
-    make_sequence call, and a call without subgroup reduction builds no
-    Sequence at all."""
+    Below classify nothing re-checks the input: no make_sequence call,
+    and a call without subgroup reduction builds no Sequence at all."""
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zsindex"]
     calls = Counter()
     seen = set()
@@ -456,8 +461,6 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
         ("certify", "shape_stats"),
         ("certify", "find_certificate"),
         ("certify", "verify_certificate"),
-        ("zseq", "nu"),
-        ("zseq", "scale"),
         ("zseq", "make_sequence"),
     ]:
         patch(home, name, counted(name))
@@ -492,7 +495,7 @@ def test_pipeline_checks_each_sequence_once(monkeypatch):
         assert calls["is_minimal_zero_sum"] == calls["classify"]
         assert repeats == []
         assert calls["shape_stats"] == 0
-        assert calls["nu"] == calls["scale"] == calls["make_sequence"] == 0
+        assert calls["make_sequence"] == 0
         assert calls["reduced"] > 0
         assert most_built == 0
 

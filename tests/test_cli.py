@@ -37,6 +37,12 @@ def test_index_command(capsys):
     assert json.loads(out) == {"n": 175, "seq": [5, 77, 133, 135], "value": 1, "witness": 3}
 
 
+def test_index_command_prints_a_fractional_value_as_a_string(capsys):
+    # Not zero-sum: the least weight over the units of Z_7 is 6, at m = 1.
+    code, out = run(capsys, ["index", "--n", "7", "--seq", "1,1,1,3"])
+    assert (code, out) == (0, '{"n": 7, "seq": [1, 1, 1, 3], "value": "6/7", "witness": 1}\n')
+
+
 def test_witness_command(capsys):
     code, out = run(capsys, ["witness", "--n", "25", "--seq", "1,11,18,20"])
     assert code == 0
@@ -153,6 +159,20 @@ def test_verify_exit_one_on_counterexample(tmp_path):
     out_file = tmp_path / "reports.jsonl"
     code = main(["verify", "--from", "8", "--to", "9", "--filter", "all", "--out", str(out_file)])
     assert code == 1
+
+
+def test_verify_over_a_range_the_filter_empties(capsys):
+    # 6 is not coprime to 6, so the work list has no modulus at all.
+    code = main(["verify", "--from", "6", "--to", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [json.loads(line) for line in captured.out.splitlines()] == [
+        {"manifest": {"version": cli.__version__, "from": 6, "to": 6, "filter": "coprime6",
+                      "mode": "full", "sample_interval": 100, "seed": 0}}
+    ]
+    assert re.search(
+        r"verified 0 moduli, 0 sequences, 0 counterexamples in \d+\.\d\ds\n\Z", captured.err
+    )
 
 
 def test_verify_stdout_and_filter_spelling(capsys):

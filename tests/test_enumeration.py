@@ -5,16 +5,19 @@ import pytest
 from conftest import (
     factorize,
     min_zero_sum4_sequences,
+    nu,
     oracle_count_minimal4,
     oracle_enumerate4,
     oracle_enumerate_triples,
     oracle_orbit_reps,
     oracle_sequence_check,
+    scale,
     totient,
+    units,
 )
 from zsindex import enumeration
 from zsindex.enumeration import _candidates, iter_min_zero_sum4, iter_orbit_reps
-from zsindex.zseq import Sequence, index, is_minimal_zero_sum, nu, scale, units
+from zsindex.zseq import Sequence, index, is_minimal_zero_sum
 
 
 def test_n5_exact_enumeration():

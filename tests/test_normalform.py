@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import min_zero_sum4_sequences
+from conftest import min_zero_sum4_sequences, nu, scale
 from zsindex.normalform import (
     TAG_ALL_BIG,
     TAG_ALL_SMALL,
@@ -18,7 +18,7 @@ from zsindex.normalform import (
     classify,
     normal_form_sequence,
 )
-from zsindex.zseq import is_minimal_zero_sum, make_sequence, nu, scale, weight
+from zsindex.zseq import is_minimal_zero_sum, make_sequence, weight
 
 
 def all_normal_forms(n):

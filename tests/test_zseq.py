@@ -1,23 +1,26 @@
 import json
 import math
 import pickle
-import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_index, oracle_minimal_zero_sum, oracle_sequence_check, totient
+from conftest import (
+    oracle_index,
+    oracle_minimal_zero_sum,
+    oracle_sequence_check,
+    scale,
+    units,
+)
 from zsindex.harness import result_json
 from zsindex.zseq import (
     Sequence,
+    check_modulus,
     index,
     is_minimal_zero_sum,
     make_sequence,
-    nu,
-    scale,
-    units,
     weight,
 )
 
@@ -29,31 +32,11 @@ def sequences(draw, min_n=3, max_n=60):
     return make_sequence(n, coeffs)
 
 
-def test_units_examples():
-    assert units(10) == [1, 3, 7, 9]
-    assert len(units(7)) == 6
-    assert len(units(175)) == 120
-
-
 def test_modulus_floor_enforced():
     with pytest.raises(ValueError):
-        units(2)
-
-
-def test_units_are_ascending_and_coprime():
-    for n in (3, 4, 30, 49, 175):
-        us = units(n)
-        assert us == sorted(set(us))
-        assert all(math.gcd(m, n) == 1 and 1 <= m < n for m in us)
-
-
-def test_units_count_matches_totient():
-    # exhaustive on small moduli, deterministic sample up to 10**4
-    for n in range(3, 1501):
-        assert len(units(n)) == totient(n)
-    rng = random.Random(2024)
-    for n in sorted(rng.sample(range(1501, 10001), 120)):
-        assert len(units(n)) == totient(n)
+        check_modulus(2)
+    with pytest.raises(ValueError):
+        make_sequence(2, [1, 1, 1, 1])
 
 
 def test_make_sequence_examples():
@@ -152,14 +135,6 @@ def raw_sequence_args(draw):
 @given(raw_sequence_args())
 def test_sequence_check_matches_oracle(args):
     _assert_same_verdict(*args)
-
-
-def test_nu_examples():
-    assert nu(make_sequence(175, [5, 77, 133, 135])) == 2
-    assert nu(make_sequence(7, [1, 1, 1, 4])) == 1
-    assert nu(make_sequence(7, [4, 5, 6, 6])) == 3
-    with pytest.raises(ValueError):
-        nu(make_sequence(7, [1, 1, 1, 3]))  # not zero-sum
 
 
 def test_minimality_examples():
